@@ -18,6 +18,7 @@ structure of the generation procedure.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -172,8 +173,9 @@ def enumerate_graphs(
     Order: n ascending, then adjacency bit vector ascending numerically,
     then coloring lexicographic.  A record is yielded iff its digest is new;
     the seen set is global across n.  workers > 1 spreads digest computation
-    over processes; the merged stream is identical to the sequential one
-    because results are consumed in submission order.
+    over at most os.cpu_count() processes while the scan stays in this one;
+    the merged stream is identical to the sequential one because results
+    are consumed in submission order.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -200,7 +202,9 @@ def _enumerate_sequential(config, backend):
 def _enumerate_parallel(config, backend, workers):
     seen: set[Digest] = set()
     palette = config.palette
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # The executor forks all its processes at the first submit, so never ask
+    # for more than there are cores.
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         for n in range(2, config.n_max + 1):
             mats = [bits for bits, _, _ in _surviving_matrices(n, config.e_max)]
             digest_blocks = pool.map(

@@ -27,11 +27,17 @@ def graph_to_dict(g: ComputationalGraph) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    # JSON true/false load as bool, which Python counts as int.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def graph_from_dict(obj, normalize: bool = False) -> ComputationalGraph:
     """Parse and validate the JSON-object form of a graph.
 
     With normalize set, arbitrarily-oriented DAG edges are relabeled into
     i < j form first; otherwise out-of-order edges are a validation error.
+    Booleans are not accepted where integers are expected.
     """
     if not isinstance(obj, Mapping):
         raise GraphError(f"expected a JSON object, got {type(obj).__name__}")
@@ -39,17 +45,17 @@ def graph_from_dict(obj, normalize: bool = False) -> ComputationalGraph:
     if missing:
         raise GraphError(f"graph object lacks keys: {sorted(missing)}")
     n, k = obj["n"], obj["k"]
-    if not isinstance(n, int) or not isinstance(k, int):
+    if not _is_int(n) or not _is_int(k):
         raise GraphError("n and k must be integers")
     colors = obj["colors"]
-    if not isinstance(colors, list) or not all(isinstance(c, int) for c in colors):
+    if not isinstance(colors, list) or not all(map(_is_int, colors)):
         raise GraphError("colors must be a list of integers")
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise GraphError("edges must be a list of [i, j] pairs")
     edges = []
     for e in raw_edges:
-        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, int) for v in e):
+        if not isinstance(e, list) or len(e) != 2 or not all(map(_is_int, e)):
             raise GraphError(f"bad edge entry {e!r}; expected [i, j]")
         edges.append((e[0], e[1]))
     if normalize:
@@ -60,7 +66,10 @@ def graph_from_dict(obj, normalize: bool = False) -> ComputationalGraph:
 def load_graph(path, normalize: bool = False) -> ComputationalGraph:
     """Read one graph from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise GraphError(f"{path}: JSON nested too deeply") from None
     return graph_from_dict(obj, normalize=normalize)
 
 

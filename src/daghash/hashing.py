@@ -14,15 +14,23 @@ bytes, making the encoding injective.  Two backends share this encoding:
 * ``concat`` -- the identity map on the encoded bytes.  Collision-free, but
   digests grow exponentially with the round count; practical only for small
   graphs.
+
+One loop, ``_refine``, serves traces, one-shot hashing and concat.  A structure
+hashed twice in a row runs md5 code compiled for it, cached until the next
+structure.  md5 is CPython's ``_md5``, or ``hashlib.md5`` if that is missing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from typing import Callable, Sequence
 
 from .graphs import ComputationalGraph, adjacency_lists
+
+try:
+    from _md5 import md5 as _md5_new
+except ImportError:
+    from hashlib import md5 as _md5_new
 
 Digest = bytes
 
@@ -36,7 +44,7 @@ def _le64(v: int) -> bytes:
 
 
 def _md5(data: bytes) -> bytes:
-    return hashlib.md5(data).digest()
+    return _md5_new(data).digest()
 
 
 def _identity(data: bytes) -> bytes:
@@ -87,7 +95,7 @@ def graph_invariant(g: ComputationalGraph, backend: str = "md5") -> Digest:
     Does not rely on the path condition, only on the i < j representation.
     """
     outs, ins = adjacency_lists(g)
-    return invariant_from_lists(g.n, outs, ins, g.colors, backend)
+    return _generic_invariant(g.n, outs, ins, g.colors, digest_function(backend), ({}, {}, {}))
 
 
 def refinement_trace(
@@ -156,11 +164,25 @@ def invariant_from_lists(
 ) -> Digest:
     """Invariant digest from raw 0-based neighbor lists.
 
-    This is the hot path for enumeration: callers precompute the neighbor
-    lists once per adjacency matrix and reuse them across colorings.
+    Hot path of enumeration: for md5, a call repeating the previous call's
+    (n, outs, ins) runs a kernel compiled for that structure.  Raises
+    ValueError unless n is an int and outs, ins are n lists of ints in range(n).
     """
-    if backend == "md5" and n < 128:
-        return _md5_invariant(n, outs, ins, colors)
+    global _kernel
+    key = (n, tuple(map(tuple, outs)), tuple(map(tuple, ins)))
+    if type(n) is not int or len(key[1]) != n or len(key[2]) != n:
+        raise ValueError(f"expected {n} out- and {n} in-neighbor lists")
+    for nbrs in key[1] + key[2]:
+        for j in nbrs:
+            if type(j) is not int or not 0 <= j < n:
+                raise ValueError(f"neighbor index {j!r} is not an int in range({n})")
+    if backend == "md5" and 0 < n < 128:
+        last, kernel = _kernel
+        if key == last:
+            if kernel is None:
+                _kernel = (key, kernel := _compile_kernel(*key))
+            return kernel(colors)
+        _kernel = (key, None)
     return _generic_invariant(n, outs, ins, colors, digest_function(backend), ({}, {}, {}))
 
 
@@ -211,33 +233,23 @@ def graph_invariants(
     return out
 
 
-def _md5_invariant(n, outs, ins, colors):
-    # Specialized md5 loop: identical algorithm to _refine but with the
-    # hashlib call inlined; enumeration spends nearly all its time here.
-    md5 = hashlib.md5
-    le64 = _LE64
-    opre = [le64[len(outs[i])] for i in range(n)]
-    ipre = [le64[len(ins[i])] for i in range(n)]
-    h = [
-        md5(opre[i] + ipre[i] + _le64(colors[i])).digest()
-        for i in range(n)
-    ]
-    for _ in range(n):
-        new = []
-        append = new.append
-        for i in range(n):
-            ho = [h[j] for j in outs[i]]
-            if len(ho) > 1:
-                ho.sort()
-            hi = [h[j] for j in ins[i]]
-            if len(hi) > 1:
-                hi.sort()
-            parts = [opre[i]]
-            parts += ho
-            parts.append(ipre[i])
-            parts += hi
-            parts.append(h[i])
-            append(md5(b"".join(parts)).digest())
-        h = new
-    h.sort()
-    return md5(_le64(n) + b"".join(h)).digest()
+_kernel = (None, None)  # (last structure, its kernel or None); results never depend on it
+
+
+def _compile_kernel(n, outs, ins):
+    # Source from n, the checked indices and LE64 constants only.  A round is
+    # one tuple assignment, so every update reads the pre-round digests.
+    def group(js):
+        hs = ", ".join(f"h{j}" for j in js)
+        return f"*sorted(({hs})), " if len(js) > 1 else f"{hs}, " if js else ""
+
+    hs = "".join(f"h{i}, " for i in range(n))
+    pre = [(_LE64[len(outs[i])], _LE64[len(ins[i])]) for i in range(n)]
+    src = "def kernel(colors):\n" + "".join(
+        f"    h{i} = md5({o + d!r} + le64(colors[{i}])).digest()\n" for i, (o, d) in enumerate(pre)
+    ) + f"    for _ in range({n}):\n        {hs}= " + "".join(
+        f"md5(join(({o!r}, {group(outs[i])}{d!r}, {group(ins[i])}h{i}))).digest(), "
+        for i, (o, d) in enumerate(pre)
+    ) + f"\n    return md5({_LE64[n]!r} + join(sorted(({hs})))).digest()\n"
+    exec(src, ns := {"md5": _md5_new, "join": b"".join, "le64": _le64})
+    return ns["kernel"]

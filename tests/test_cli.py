@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from daghash import enumeration
 from daghash.cli import main
 from daghash.enumeration import EnumerationConfig, enumerate_graphs
 from daghash.formats import parse_record_line, parse_summary_line, save_graph
@@ -72,6 +73,34 @@ def test_hash_unparsable_file_is_input_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["hash", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["hash", "iso"])
+def test_deeply_nested_json_is_input_error(tmp_path, command, capsys):
+    # the JSON parser gives up with RecursionError; iso must not answer 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    files = [str(deep)] * (2 if command == "iso" else 1)
+    assert main([command, *files]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_json_booleans_are_input_error(tmp_path, capsys):
+    good = {"n": 2, "k": 1, "colors": [1, 1], "edges": [[1, 2]]}
+    bad = [
+        {"n": True, "k": True, "colors": [True], "edges": []},
+        {**good, "k": True},
+        {**good, "colors": [1, True]},
+        {**good, "edges": [[True, 2]]},
+    ]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(good))
+    assert main(["hash", str(path)]) == 0
+    capsys.readouterr()
+    for obj in bad:
+        path.write_text(json.dumps(obj))
+        assert main(["hash", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_iso_prints_witness_images(tmp_path, triple, capsys):
@@ -161,6 +190,30 @@ def test_enumerate_workers_do_not_change_output(tmp_path, capsys):
     assert main(args + ["--out", str(b), "--workers", "2"]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_enumerate_workers_capped_at_cpu_count(monkeypatch, capsys):
+    # no process is started: the stub pool records its size and refuses
+    sizes = []
+
+    class Refused(Exception):
+        pass
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        raise Refused
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    args = ["enumerate", "--max-vertices", "3", "--max-edges", "3", "--colors", "1"]
+    for workers in ("1000000", "2"):
+        with pytest.raises(Refused):
+            main(args + ["--workers", workers])
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+    with pytest.raises(Refused):
+        main(args + ["--workers", "2"])
+    assert sizes == [3, 2, 1]
+    capsys.readouterr()
 
 
 def test_enumerate_bad_bounds_is_input_error(capsys):

@@ -5,11 +5,13 @@ import itertools
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 from conftest import valid_graphs
+from daghash import hashing
 from daghash.graphs import (
     ComputationalGraph,
+    adjacency_lists,
     apply_permutation,
     linear_extensions,
     pack_edges,
@@ -160,13 +162,85 @@ def test_round_consistency_under_relabeling(g):
             assert hp[p(i) - 1] == hg[i - 1]
 
 
-def test_invariant_from_lists_matches_graph_invariant(small_corpus):
-    from daghash.graphs import adjacency_lists
+def _twice(g):
+    # a structure's first call runs the generic loop, the repeat its kernel
+    outs, ins = adjacency_lists(g)
+    return [invariant_from_lists(g.n, outs, ins, g.colors) for _ in range(2)]
 
+
+def test_invariant_from_lists_matches_graph_invariant(small_corpus):
+    # generic path and compiled kernel against the one-shot generic path
     for rec in small_corpus[:300]:
-        g = rec.graph
-        outs, ins = adjacency_lists(g)
-        assert invariant_from_lists(g.n, outs, ins, g.colors) == rec.invariant
+        assert _twice(rec.graph) == [rec.invariant, graph_invariant(rec.graph)]
+
+
+# few random 7-vertex matrices span input to output, hence the filtering
+@settings(max_examples=150, suppress_health_check=[HealthCheck.filter_too_much])
+@given(valid_graphs(max_n=7))
+def test_kernel_matches_refinement_trace(g):
+    want = final_digest(g.n, refinement_trace(g)[-1])
+    assert _twice(g) == [want, want]
+
+
+def test_kernel_cache_follows_structure(monkeypatch):
+    # A, A, B, B, A, A with equal colors: a stale kernel would repeat B's digest
+    compiled = []
+    compile_kernel = hashing._compile_kernel
+    monkeypatch.setattr(hashing, "_kernel", (None, None))
+    monkeypatch.setattr(
+        hashing, "_compile_kernel", lambda *key: compiled.append(key) or compile_kernel(*key)
+    )
+    a = validate(4, 1, {(1, 2), (2, 3), (3, 4)}, [1] * 4)
+    b = validate(4, 1, {(1, 2), (1, 3), (2, 4), (3, 4)}, [1] * 4)
+    digests = _twice(a) + _twice(b) + _twice(a)
+    assert digests == [graph_invariant(g) for g in (a, a, b, b, a, a)]
+    assert digests[0] != digests[2]
+    assert len(compiled) == 3
+
+
+def test_structure_hashed_once_compiles_no_kernel(monkeypatch):
+    # one coloring per structure, as with --colors 1, never pays for compiling
+    def never(*args):
+        raise AssertionError("a structure hashed once compiled a kernel")
+
+    monkeypatch.setattr(hashing, "_kernel", (None, None))
+    monkeypatch.setattr(hashing, "_compile_kernel", never)
+    a = validate(4, 1, {(1, 2), (2, 3), (3, 4)}, [1] * 4)
+    b = validate(4, 1, {(1, 2), (1, 3), (2, 4), (3, 4)}, [1] * 4)
+    for g in (a, b, a, b):
+        assert invariant_from_lists(g.n, *adjacency_lists(g), g.colors) == graph_invariant(g)
+
+
+def test_one_shot_hashing_compiles_no_kernel(monkeypatch, triple):
+    def never(*args):
+        raise AssertionError("one-shot hashing compiled a kernel")
+
+    monkeypatch.setattr(hashing, "_compile_kernel", never)
+    assert len(set(graph_invariants(list(triple)))) == 1
+    assert graph_invariant(triple[0]) == graph_invariants(list(triple))[0]
+
+
+@pytest.mark.parametrize("bad", [3, -1, "1", 1.0, True, "h0)); import os; ((1"])
+def test_kernel_rejects_bad_neighbor_index_before_codegen(monkeypatch, bad):
+    def never(*args):
+        raise AssertionError("kernel compiled from unchecked input")
+
+    outs = [[1, 2], [1], []]
+    ins = [[], [0], [0, 1]]
+    monkeypatch.setattr(hashing, "_kernel", (None, None))
+    for _ in range(2):
+        # cache the kernel of the all-int structure that 1.0 and True equal
+        invariant_from_lists(3, outs, ins, [1, 1, 1])
+    monkeypatch.setattr(hashing, "_compile_kernel", never)
+    outs[1] = [bad]
+    for backend in BACKENDS:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                invariant_from_lists(3, outs, ins, [1, 1, 1], backend)
+            with pytest.raises(ValueError):
+                invariant_from_lists(3, ins, outs, [1, 1, 1], backend)
+    with pytest.raises(ValueError):
+        invariant_from_lists(3, outs[:2], ins, [1, 1, 1])
 
 
 def test_batch_invariants_match_individual(small_corpus):
