@@ -13,11 +13,22 @@ demanding bucket purity.
 The seen-digest set spans all n.  Digests embed the vertex count, so graphs
 of different sizes cannot merge; the global set simply mirrors the loop
 structure of the generation procedure.
+
+Each surviving matrix is hashed in its canonical labeling: the linear
+extension with the least packed bits.  Isomorphic i < j DAGs have the same
+set of i < j relabelings, so they share one canonical matrix, and
+every coloring of a matrix isomorphic to an earlier one reaches the hash as
+inputs already seen, which the hashing layer's per-n table answers without
+refining.  The relabeling only changes what is hashed, and the hash is an
+isomorphism invariant, so every digest, record and output byte is what
+hashing the original labeling gives.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -27,6 +38,7 @@ from .graphs import (
     ComputationalGraph,
     neighbor_lists_from_bits,
     pair_count,
+    pair_index,
     iter_pairs,
     span_mask,
 )
@@ -139,11 +151,66 @@ def passes_prune(edges, n: int, e_max: int) -> bool:
     return span_mask(n, outs, ins) == (1 << n) - 1
 
 
+@functools.cache
+def _interior_orders(n):
+    # Every position map fixing vertex 0 and vertex n-1, identity first.
+    return [(0, *p, n - 1) for p in itertools.permutations(range(1, n - 1))]
+
+
+@functools.cache
+def _pair_bits(n):
+    # _pair_bits(n)[a][b] is the packed bit of the 0-based pair a < b.
+    return [
+        [1 << pair_index(n, a + 1, b + 1) if a < b else 0 for b in range(n)]
+        for a in range(n)
+    ]
+
+
+def canonical_relabeling(n: int, outs):
+    """The linear extension giving the least packed bits, applied to outs.
+
+    For n >= 2 graphs meeting the path condition: vertex 1 is then the only
+    source and vertex n the only sink, so every linear extension fixes both
+    and only interior orders are searched.  Returns (bits, outs, ins, order):
+    the least bits, the relabeled 0-based neighbor lists (sorted tuples), and
+    order[v], the original vertex placed at position v.
+    """
+    edges = [(i, j) for i in range(n) for j in outs[i]]
+    pair_bits = _pair_bits(n)
+    best = None
+    for p in _interior_orders(n):
+        bits = 0
+        for i, j in edges:
+            a, b = p[i], p[j]
+            if a > b:
+                break
+            bits |= pair_bits[a][b]
+        else:
+            if best is None or bits < best:
+                best, best_p = bits, p
+    new_outs = [[] for _ in range(n)]
+    new_ins = [[] for _ in range(n)]
+    for i, j in edges:
+        new_outs[best_p[i]].append(best_p[j])
+        new_ins[best_p[j]].append(best_p[i])
+    order = [0] * n
+    for i, v in enumerate(best_p):
+        order[v] = i
+    return (
+        best,
+        tuple(tuple(sorted(x)) for x in new_outs),
+        tuple(tuple(sorted(x)) for x in new_ins),
+        tuple(order),
+    )
+
+
 def _surviving_matrices(n: int, e_max: int):
     """Packed adjacency ints that pass both prunes, ascending numerically.
 
-    Yields (bits, outs, ins) so callers reuse the decoded neighbor lists
-    across every coloring of the matrix.
+    Yields (bits, outs, ins, relabel): the matrix, the neighbor lists of its
+    canonical relabeling, and the map taking a coloring of the matrix to the
+    same coloring in canonical labeling.  The relabeling reuses the decoded
+    lists, so each matrix is decoded once.
     """
     full = (1 << n) - 1
     for bits in range(1 << pair_count(n)):
@@ -151,16 +218,16 @@ def _surviving_matrices(n: int, e_max: int):
             continue
         outs, ins = neighbor_lists_from_bits(n, bits)
         if span_mask(n, outs, ins) == full:
-            yield bits, outs, ins
+            _, outs, ins, order = canonical_relabeling(n, outs)
+            yield bits, outs, ins, operator.itemgetter(*order)
 
 
-def _matrix_digests(n, bits, config, backend):
+def _matrix_digests(n, mat, config, backend):
     # Worker payload for parallel mode: all digests of one matrix, in
-    # coloring order.  Everything needed is re-derived from (n, bits) so
-    # only small values cross the process boundary.
-    outs, ins = neighbor_lists_from_bits(n, bits)
+    # coloring order, from the canonical lists the scan already built.
+    _, outs, ins, relabel = mat
     return [
-        invariant_from_lists(n, outs, ins, colors, backend)
+        invariant_from_lists(n, outs, ins, relabel(colors), backend)
         for colors in config.colorings(n)
     ]
 
@@ -189,9 +256,9 @@ def _enumerate_sequential(config, backend):
     seen: set[Digest] = set()
     palette = config.palette
     for n in range(2, config.n_max + 1):
-        for bits, outs, ins in _surviving_matrices(n, config.e_max):
+        for bits, outs, ins, relabel in _surviving_matrices(n, config.e_max):
             for colors in config.colorings(n):
-                dig = invariant_from_lists(n, outs, ins, colors, backend)
+                dig = invariant_from_lists(n, outs, ins, relabel(colors), backend)
                 if dig not in seen:
                     seen.add(dig)
                     yield CanonicalRecord(
@@ -206,7 +273,7 @@ def _enumerate_parallel(config, backend, workers):
     # for more than there are cores.
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         for n in range(2, config.n_max + 1):
-            mats = [bits for bits, _, _ in _surviving_matrices(n, config.e_max)]
+            mats = list(_surviving_matrices(n, config.e_max))
             digest_blocks = pool.map(
                 _matrix_digests,
                 itertools.repeat(n),
@@ -215,7 +282,7 @@ def _enumerate_parallel(config, backend, workers):
                 itertools.repeat(backend),
                 chunksize=64,
             )
-            for bits, digs in zip(mats, digest_blocks):
+            for (bits, *_), digs in zip(mats, digest_blocks):
                 for colors, dig in zip(config.colorings(n), digs):
                     if dig not in seen:
                         seen.add(dig)
@@ -252,9 +319,9 @@ def verify_buckets(
     per_n: dict[int, int] = {}
     palette = config.palette
     for n in range(2, config.n_max + 1):
-        for bits, outs, ins in _surviving_matrices(n, config.e_max):
+        for bits, outs, ins, relabel in _surviving_matrices(n, config.e_max):
             for colors in config.colorings(n):
-                dig = invariant_from_lists(n, outs, ins, colors, backend)
+                dig = invariant_from_lists(n, outs, ins, relabel(colors), backend)
                 g = ComputationalGraph(n, palette, bits, colors)
                 members = buckets.get(dig)
                 if members is None:

@@ -37,7 +37,8 @@ def graph_from_dict(obj, normalize: bool = False) -> ComputationalGraph:
 
     With normalize set, arbitrarily-oriented DAG edges are relabeled into
     i < j form first; otherwise out-of-order edges are a validation error.
-    Booleans are not accepted where integers are expected.
+    Booleans are not accepted where integers are expected, and an edge
+    listed twice is an error rather than merged.
     """
     if not isinstance(obj, Mapping):
         raise GraphError(f"expected a JSON object, got {type(obj).__name__}")
@@ -58,6 +59,9 @@ def graph_from_dict(obj, normalize: bool = False) -> ComputationalGraph:
         if not isinstance(e, list) or len(e) != 2 or not all(map(_is_int, e)):
             raise GraphError(f"bad edge entry {e!r}; expected [i, j]")
         edges.append((e[0], e[1]))
+    if len(set(edges)) != len(edges):
+        dup = next(e for t, e in enumerate(edges) if e in edges[:t])
+        raise GraphError(f"edge {list(dup)} is listed more than once")
     if normalize:
         return normalize_dag(n, k, edges, colors)
     return validate(n, k, edges, colors)

@@ -18,6 +18,13 @@ bytes, making the encoding injective.  Two backends share this encoding:
 One loop, ``_refine``, serves traces, one-shot hashing and concat.  A structure
 hashed twice in a row runs md5 code compiled for it, cached until the next
 structure.  md5 is CPython's ``_md5``, or ``hashlib.md5`` if that is missing.
+
+For md5, ``invariant_from_lists`` also keeps a table of the digests it has
+computed for the current n, keyed by (structure, colors), and drops it when n
+changes.  The enumeration hands it every matrix in canonical labeling, so a
+matrix isomorphic to an earlier one repeats that one's inputs exactly and is
+answered from the table.  The table returns what the same inputs computed
+before, so reuse is exact whether or not the hash separates all classes.
 """
 
 from __future__ import annotations
@@ -40,7 +47,11 @@ _LE64 = [struct.pack("<Q", v) for v in range(128)]
 
 
 def _le64(v: int) -> bytes:
-    return _LE64[v] if v < 128 else struct.pack("<Q", v)
+    if 0 <= v < 128:
+        return _LE64[v]
+    if v < 0:
+        raise ValueError(f"LE64 encodes non-negative ints, got {v}")
+    return struct.pack("<Q", v)
 
 
 def _md5(data: bytes) -> bytes:
@@ -164,25 +175,41 @@ def invariant_from_lists(
 ) -> Digest:
     """Invariant digest from raw 0-based neighbor lists.
 
-    Hot path of enumeration: for md5, a call repeating the previous call's
-    (n, outs, ins) runs a kernel compiled for that structure.  Raises
-    ValueError unless n is an int and outs, ins are n lists of ints in range(n).
+    Hot path of enumeration.  For md5, inputs seen before at this n are
+    answered from the digest table; otherwise a call repeating the previous
+    call's (n, outs, ins) runs a kernel compiled for that structure.  Raises
+    ValueError unless n is an int, outs, ins are n lists of ints in range(n)
+    and colors are n ints >= 0.
     """
-    global _kernel
+    global _kernel, _table
     key = (n, tuple(map(tuple, outs)), tuple(map(tuple, ins)))
-    if type(n) is not int or len(key[1]) != n or len(key[2]) != n:
-        raise ValueError(f"expected {n} out- and {n} in-neighbor lists")
+    if type(n) is not int or len(key[1]) != n or len(key[2]) != n or len(colors) != n:
+        raise ValueError(f"expected {n} out- and {n} in-neighbor lists and {n} colors")
     for nbrs in key[1] + key[2]:
         for j in nbrs:
             if type(j) is not int or not 0 <= j < n:
                 raise ValueError(f"neighbor index {j!r} is not an int in range({n})")
+    for c in colors:
+        if type(c) is not int or c < 0:
+            raise ValueError(f"color {c!r} is not an int >= 0")
     if backend == "md5" and 0 < n < 128:
-        last, kernel = _kernel
-        if key == last:
-            if kernel is None:
-                _kernel = (key, kernel := _compile_kernel(*key))
-            return kernel(colors)
-        _kernel = (key, None)
+        if _table[0] != n:
+            _table = (n, {})
+        known = _table[1].setdefault(key, {})
+        # bytes keys are smaller than tuples; colors are checked ints >= 0
+        ckey = bytes(colors) if max(colors) < 256 else tuple(colors)
+        got = known.get(ckey)
+        if got is None:
+            last, kernel = _kernel
+            if key == last:
+                if kernel is None:
+                    _kernel = (key, kernel := _compile_kernel(*key))
+                got = kernel(colors)
+            else:
+                _kernel = (key, None)
+                got = _generic_invariant(n, outs, ins, colors, _md5, ({}, {}, {}))
+            known[ckey] = got
+        return got
     return _generic_invariant(n, outs, ins, colors, digest_function(backend), ({}, {}, {}))
 
 
@@ -234,6 +261,7 @@ def graph_invariants(
 
 
 _kernel = (None, None)  # (last structure, its kernel or None); results never depend on it
+_table = (None, {})  # (n, {structure: {colors: digest}}); results never depend on it
 
 
 def _compile_kernel(n, outs, ins):

@@ -7,8 +7,8 @@ import pytest
 from daghash import enumeration
 from daghash.cli import main
 from daghash.enumeration import EnumerationConfig, enumerate_graphs
-from daghash.formats import parse_record_line, parse_summary_line, save_graph
-from daghash.graphs import validate
+from daghash.formats import graph_from_dict, parse_record_line, parse_summary_line, save_graph
+from daghash.graphs import GraphError, validate
 from daghash.hashing import digest_hex, graph_invariant
 
 
@@ -101,6 +101,30 @@ def test_json_booleans_are_input_error(tmp_path, capsys):
         path.write_text(json.dumps(obj))
         assert main(["hash", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+DUPLICATE_EDGE = {"n": 3, "k": 1, "colors": [1, 1, 1], "edges": [[1, 2], [2, 3], [1, 2]]}
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_graph_from_dict_rejects_duplicate_edges(normalize):
+    # the pair once merged silently, so two different files hashed equal
+    with pytest.raises(GraphError, match="more than once"):
+        graph_from_dict(DUPLICATE_EDGE, normalize=normalize)
+    reversed_twice = {**DUPLICATE_EDGE, "edges": [[2, 1], [3, 2], [2, 1]]}
+    with pytest.raises(GraphError, match="more than once"):
+        graph_from_dict(reversed_twice, normalize=normalize)
+    once = {**DUPLICATE_EDGE, "edges": [[1, 2], [2, 3]]}
+    assert graph_from_dict(once, normalize=normalize).edges == ((1, 2), (2, 3))
+
+
+@pytest.mark.parametrize("command", ["hash", "hash --normalize", "iso"])
+def test_duplicate_edges_are_input_error(tmp_path, command, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(DUPLICATE_EDGE))
+    files = [str(path)] * (2 if command == "iso" else 1)
+    assert main([*command.split(), *files]) == 2
+    assert "more than once" in capsys.readouterr().err
 
 
 def test_iso_prints_witness_images(tmp_path, triple, capsys):

@@ -5,11 +5,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import valid_graphs
 from daghash.enumeration import (
     CanonicalRecord,
     EnumerationConfig,
     EnumerationReport,
     FalseMerge,
+    _surviving_matrices,
+    canonical_relabeling,
     check_bucket,
     decode_bitvector,
     enumerate_graphs,
@@ -17,14 +20,19 @@ from daghash.enumeration import (
     verify_buckets,
 )
 from daghash.graphs import (
+    ComputationalGraph,
     GraphError,
+    Permutation,
+    adjacency_lists,
+    apply_permutation,
     iter_pairs,
+    linear_extensions,
     neighbor_lists_from_bits,
     pair_count,
     span_mask,
     validate,
 )
-from daghash.hashing import graph_invariant
+from daghash.hashing import graph_invariant, invariant_from_lists
 from daghash.isomorphism import OracleCapExceeded, are_isomorphic
 
 
@@ -147,6 +155,35 @@ def test_digests_unique_across_records(small_corpus):
 def test_rerun_is_identical(small_corpus):
     again = list(enumerate_graphs(EnumerationConfig(5, 10, 2)))
     assert again == small_corpus
+
+
+@settings(max_examples=80)
+@given(valid_graphs(max_n=6))
+def test_canonical_relabeling_is_shared_by_linear_extensions(g):
+    relabelings = [apply_permutation(g, p) for p in linear_extensions(g)]
+    least = min(gp.bits for gp in relabelings)
+    for gp in relabelings:
+        bits, outs, ins, order = canonical_relabeling(gp.n, adjacency_lists(gp)[0])
+        assert bits == least
+        want = neighbor_lists_from_bits(g.n, bits)
+        assert (outs, ins) == tuple(tuple(map(tuple, x)) for x in want)
+        # order[v] is the vertex of gp placed at position v; the relabeling
+        # is a linear extension and carries the colors along
+        canon = apply_permutation(gp, Permutation(tuple(order.index(v) + 1 for v in range(g.n))))
+        assert canon.bits == bits
+        assert canon.colors == tuple(gp.colors[v] for v in order)
+        assert graph_invariant(canon) == graph_invariant(g)
+
+
+def test_surviving_matrices_relabel_colorings_consistently():
+    # the canonical lists with the relabeled coloring hash like the matrix
+    # with its own coloring, for every matrix, canonical or not
+    config = EnumerationConfig(5, 6, 2, reserved_io=True)
+    for n in range(2, 6):
+        for bits, outs, ins, relabel in _surviving_matrices(n, config.e_max):
+            for colors in config.colorings(n):
+                g = ComputationalGraph(n, config.palette, bits, colors)
+                assert invariant_from_lists(n, outs, ins, relabel(colors)) == graph_invariant(g)
 
 
 def test_parallel_stream_matches_sequential():

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 
 from conftest import valid_graphs
 from daghash import hashing
+from daghash.enumeration import canonical_relabeling
 from daghash.graphs import (
     ComputationalGraph,
     adjacency_lists,
@@ -163,9 +164,23 @@ def test_round_consistency_under_relabeling(g):
 
 
 def _twice(g):
-    # a structure's first call runs the generic loop, the repeat its kernel
+    # A structure's first call runs the generic loop.  With the digest table
+    # emptied before each call, the repeat misses it and runs the kernel,
+    # compiled exactly once.
     outs, ins = adjacency_lists(g)
-    return [invariant_from_lists(g.n, outs, ins, g.colors) for _ in range(2)]
+    compiled = []
+    compile_kernel = hashing._compile_kernel
+    hashing._compile_kernel = lambda *key: compiled.append(key) or compile_kernel(*key)
+    hashing._kernel = (None, None)
+    try:
+        digests = []
+        for _ in range(2):
+            hashing._table = (None, {})
+            digests.append(invariant_from_lists(g.n, outs, ins, g.colors))
+    finally:
+        hashing._compile_kernel = compile_kernel
+    assert len(compiled) == 1
+    return digests
 
 
 def test_invariant_from_lists_matches_graph_invariant(small_corpus):
@@ -183,7 +198,8 @@ def test_kernel_matches_refinement_trace(g):
 
 
 def test_kernel_cache_follows_structure(monkeypatch):
-    # A, A, B, B, A, A with equal colors: a stale kernel would repeat B's digest
+    # A, A, B, B, A, A with equal colors and the digest table emptied before
+    # each call: a stale kernel would repeat B's digest
     compiled = []
     compile_kernel = hashing._compile_kernel
     monkeypatch.setattr(hashing, "_kernel", (None, None))
@@ -192,7 +208,10 @@ def test_kernel_cache_follows_structure(monkeypatch):
     )
     a = validate(4, 1, {(1, 2), (2, 3), (3, 4)}, [1] * 4)
     b = validate(4, 1, {(1, 2), (1, 3), (2, 4), (3, 4)}, [1] * 4)
-    digests = _twice(a) + _twice(b) + _twice(a)
+    digests = []
+    for g in (a, a, b, b, a, a):
+        monkeypatch.setattr(hashing, "_table", (None, {}))
+        digests.append(invariant_from_lists(g.n, *adjacency_lists(g), g.colors))
     assert digests == [graph_invariant(g) for g in (a, a, b, b, a, a)]
     assert digests[0] != digests[2]
     assert len(compiled) == 3
@@ -208,6 +227,7 @@ def test_structure_hashed_once_compiles_no_kernel(monkeypatch):
     a = validate(4, 1, {(1, 2), (2, 3), (3, 4)}, [1] * 4)
     b = validate(4, 1, {(1, 2), (1, 3), (2, 4), (3, 4)}, [1] * 4)
     for g in (a, b, a, b):
+        monkeypatch.setattr(hashing, "_table", (None, {}))
         assert invariant_from_lists(g.n, *adjacency_lists(g), g.colors) == graph_invariant(g)
 
 
@@ -228,9 +248,12 @@ def test_kernel_rejects_bad_neighbor_index_before_codegen(monkeypatch, bad):
     outs = [[1, 2], [1], []]
     ins = [[], [0], [0, 1]]
     monkeypatch.setattr(hashing, "_kernel", (None, None))
-    for _ in range(2):
-        # cache the kernel of the all-int structure that 1.0 and True equal
-        invariant_from_lists(3, outs, ins, [1, 1, 1])
+    monkeypatch.setattr(hashing, "_table", (None, {}))
+    for colors in ([1, 2, 1], [1, 1, 1]):
+        # cache the kernel and table entries of the all-int structure that
+        # 1.0 and True equal
+        invariant_from_lists(3, outs, ins, colors)
+    assert hashing._kernel[1] is not None
     monkeypatch.setattr(hashing, "_compile_kernel", never)
     outs[1] = [bad]
     for backend in BACKENDS:
@@ -241,6 +264,77 @@ def test_kernel_rejects_bad_neighbor_index_before_codegen(monkeypatch, bad):
                 invariant_from_lists(3, ins, outs, [1, 1, 1], backend)
     with pytest.raises(ValueError):
         invariant_from_lists(3, outs[:2], ins, [1, 1, 1])
+
+
+@pytest.mark.parametrize("bad", [1.0, True, -1])
+def test_colors_checked_before_table_lookup(monkeypatch, bad):
+    def never(*args):
+        raise AssertionError("unchecked colors reached the hash")
+
+    g = validate(3, 1, {(1, 2), (1, 3), (2, 3)}, [1, 1, 1])
+    outs, ins = adjacency_lists(g)
+    monkeypatch.setattr(hashing, "_kernel", (None, None))
+    monkeypatch.setattr(hashing, "_table", (None, {}))
+    for colors in ([1, 2, 1], [1, 1, 1]):
+        # the table now holds [1, 1, 1], which [1, 1.0, 1] and [1, True, 1] equal
+        invariant_from_lists(3, outs, ins, colors)
+    monkeypatch.setattr(hashing, "_compile_kernel", never)
+    monkeypatch.setattr(hashing, "_generic_invariant", never)
+    for backend in BACKENDS:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                invariant_from_lists(3, outs, ins, [1, bad, 1], backend)
+    with pytest.raises(ValueError):
+        invariant_from_lists(3, outs, ins, [1, 1])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_le64_rejects_negative_values(backend):
+    # a negative value once indexed the LE64 table from its end: -1 was 127
+    for args in [(-1, 0, 1), (0, -1, 1), (0, 0, -1), (0, 0, -200)]:
+        with pytest.raises(ValueError):
+            vertex_init_digest(*args, backend)
+
+
+def test_isomorphic_structure_answered_from_table(monkeypatch, triple):
+    # triple[1] and triple[2] relabel triple[0]; in canonical labeling their
+    # every coloring repeats one of triple[0]'s inputs
+    def never(*args):
+        raise AssertionError("an isomorphic structure was refined again")
+
+    left = triple[0]
+    want = graph_invariant(left)
+    _, outs, ins, _ = canonical_relabeling(left.n, adjacency_lists(left)[0])
+    monkeypatch.setattr(hashing, "_table", (None, {}))
+    for colors in itertools.product(range(1, 4), repeat=left.n):
+        invariant_from_lists(left.n, outs, ins, colors)
+    monkeypatch.setattr(hashing, "_kernel", (None, None))
+    monkeypatch.setattr(hashing, "_compile_kernel", never)
+    monkeypatch.setattr(hashing, "_generic_invariant", never)
+    for g in triple[1:]:
+        _, g_outs, g_ins, order = canonical_relabeling(g.n, adjacency_lists(g)[0])
+        assert (g_outs, g_ins) == (outs, ins)
+        colors = [g.colors[v] for v in order]
+        assert invariant_from_lists(g.n, g_outs, g_ins, colors) == want
+
+
+def test_table_dropped_when_n_changes(monkeypatch):
+    a = validate(4, 1, {(1, 2), (2, 3), (3, 4)}, [1] * 4)
+    b = validate(5, 1, {(1, 2), (2, 3), (3, 4), (4, 5)}, [1] * 5)
+    want = [graph_invariant(g) for g in (a, a, b, a)]
+    refined = []
+    generic = hashing._generic_invariant
+    monkeypatch.setattr(hashing, "_table", (None, {}))
+    monkeypatch.setattr(hashing, "_kernel", (None, None))
+    monkeypatch.setattr(
+        hashing, "_generic_invariant", lambda *args: refined.append(args[0]) or generic(*args)
+    )
+    got = [invariant_from_lists(g.n, *adjacency_lists(g), g.colors) for g in (a, a, b, a)]
+    assert got == want
+    # the second a is a table hit; b drops the n = 4 table, so the last a is
+    # refined again and the table then holds n = 4 only
+    assert refined == [4, 5, 4]
+    assert hashing._table[0] == 4 and len(hashing._table[1]) == 1
 
 
 def test_batch_invariants_match_individual(small_corpus):
