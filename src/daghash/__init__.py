@@ -38,11 +38,8 @@ from .enumeration import (
     CanonicalRecord,
     EnumerationReport,
     FalseMerge,
-    decode_bitvector,
-    passes_prune,
     enumerate_graphs,
     verify_buckets,
-    check_bucket,
 )
 from .adversarial import (
     AdversarialPair,

@@ -102,32 +102,32 @@ def _cmd_iso(args) -> int:
     return 1
 
 
+def _print_per_n(per_n: dict[int, int]) -> None:
+    for n in sorted(per_n):
+        print(f"n={n}: {per_n[n]}")
+    print(f"total: {sum(per_n.values())}")
+
+
 def _cmd_enumerate(args) -> int:
     config = EnumerationConfig(
         args.max_vertices, args.max_edges, args.colors, args.reserved_io
     )
     records = enumerate_graphs(config, backend=args.backend, workers=args.workers)
+    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     per_n: dict[int, int] = {}
-    if args.out is None:
-        for rec in records:
-            per_n[rec.graph.n] = per_n.get(rec.graph.n, 0) + 1
-            print(record_line(rec.invariant, rec.graph))
-        print(summary_line(per_n))
-        return 0
-    out = open(args.out, "w", encoding="utf-8")
     try:
         for rec in records:
             per_n[rec.graph.n] = per_n.get(rec.graph.n, 0) + 1
             out.write(record_line(rec.invariant, rec.graph) + "\n")
         out.write(summary_line(per_n) + "\n")
     except BaseException:
-        out.close()
-        os.unlink(args.out)
+        if args.out is not None:
+            out.close()
+            os.unlink(args.out)
         raise
-    out.close()
-    for n in sorted(per_n):
-        print(f"n={n}: {per_n[n]}")
-    print(f"total: {sum(per_n.values())}")
+    if args.out is not None:
+        out.close()
+        _print_per_n(per_n)
     return 0
 
 
@@ -143,9 +143,7 @@ def _cmd_verify(args) -> int:
         print(f"offender:  {json.dumps(graph_to_dict(fm.offender))}")
         return 1
     duplicates = sum(len(m) for m in report.buckets.values()) - report.total
-    for n in sorted(report.per_n):
-        print(f"n={n}: {report.per_n[n]}")
-    print(f"total: {report.total}")
+    _print_per_n(report.per_n)
     print(f"all buckets pure ({duplicates} duplicate members verified)")
     return 0
 

@@ -1,14 +1,17 @@
 """Exhaustive generation of computational graphs up to isomorphism.
 
-For each vertex count n up to n_max, every upper-triangular adjacency bit
-vector is decoded in increasing numeric order, pruned by edge budget and the
+One generation stream serves both enumeration and verification.  For each
+vertex count n up to n_max, every upper-triangular adjacency bit vector is
+decoded in increasing numeric order, pruned by edge budget and the
 input-to-output path condition, and expanded over all colorings in
-lexicographic order.  A graph is kept iff its invariant digest has not been
-seen before, making the first-observed graph the canonical representative of
-its equivalence class.  The digest dedup is sound only insofar as the
-invariant separates non-isomorphic graphs; verify_buckets re-checks that
-assumption with the brute-force oracle by retaining every duplicate and
-demanding bucket purity.
+lexicographic order; the stream yields each coloring's invariant digest.
+enumerate_graphs keeps a graph iff its digest has not been seen before,
+making the first-observed graph the canonical representative of its
+equivalence class.  The digest dedup is sound only insofar as the invariant
+separates non-isomorphic graphs; verify_buckets re-checks that assumption on
+the same stream with the brute-force oracle by retaining every duplicate and
+demanding bucket purity.  With several workers only the hashing moves to a
+process pool; the stream, and so every output, is unchanged.
 
 The seen-digest set spans all n.  Digests embed the vertex count, so graphs
 of different sizes cannot merge; the global set simply mirrors the loop
@@ -26,20 +29,20 @@ hashing the original labeling gives.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .graphs import (
     ComputationalGraph,
     neighbor_lists_from_bits,
     pair_count,
     pair_index,
-    iter_pairs,
     span_mask,
 )
 from .hashing import Digest, invariant_from_lists
@@ -125,32 +128,6 @@ class FalseMerge(Exception):
         )
 
 
-def decode_bitvector(n: int, bits: Sequence[int]) -> set[tuple[int, int]]:
-    """Edge set encoded by a 0/1 vector over the row-major pair order."""
-    expected = pair_count(n)
-    if len(bits) != expected:
-        raise ValueError(
-            f"expected {expected} bits for n={n}, got {len(bits)}"
-        )
-    return {pair for pair, bit in zip(iter_pairs(n), bits) if bit}
-
-
-def passes_prune(edges, n: int, e_max: int) -> bool:
-    """True iff the edge set is within budget and spans input to output.
-
-    The span requirement is the path condition: every vertex forward
-    reachable from vertex 1 and backward reachable from vertex n.
-    """
-    if len(edges) > e_max:
-        return False
-    outs = [[] for _ in range(n)]
-    ins = [[] for _ in range(n)]
-    for i, j in edges:
-        outs[i - 1].append(j - 1)
-        ins[j - 1].append(i - 1)
-    return span_mask(n, outs, ins) == (1 << n) - 1
-
-
 @functools.cache
 def _interior_orders(n):
     # Every position map fixing vertex 0 and vertex n-1, identity first.
@@ -222,14 +199,43 @@ def _surviving_matrices(n: int, e_max: int):
             yield bits, outs, ins, operator.itemgetter(*order)
 
 
-def _matrix_digests(n, mat, config, backend):
-    # Worker payload for parallel mode: all digests of one matrix, in
-    # coloring order, from the canonical lists the scan already built.
-    _, outs, ins, relabel = mat
-    return [
+def _matrix_digests(n, mat, colorings, backend):
+    # One matrix's bits and its digests in coloring order, hashed from the
+    # canonical lists the scan built; runs here or in a pool worker.
+    bits, outs, ins, relabel = mat
+    return bits, [
         invariant_from_lists(n, outs, ins, relabel(colors), backend)
-        for colors in config.colorings(n)
+        for colors in colorings
     ]
+
+
+def _hashed(config, backend, workers=1):
+    """(n, bits, colors, digest) for every coloring of every surviving matrix.
+
+    Generation order: n ascending, then bits ascending, then colorings
+    lexicographic.  workers > 1 computes each matrix's digests in a process
+    pool while the scan stays in this process; the pool's map returns blocks
+    in submission order, so the stream is the sequential one.
+    """
+    # The executor forks all its processes at the first submit, so never ask
+    # for more than there are cores.
+    with (
+        ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
+        if workers > 1
+        else contextlib.nullcontext()
+    ) as pool:
+        blocks = map if pool is None else functools.partial(pool.map, chunksize=64)
+        for n in range(2, config.n_max + 1):
+            colorings = list(config.colorings(n))
+            for bits, digests in blocks(
+                _matrix_digests,
+                itertools.repeat(n),
+                _surviving_matrices(n, config.e_max),
+                itertools.repeat(colorings),
+                itertools.repeat(backend),
+            ):
+                for colors, dig in zip(colorings, digests):
+                    yield n, bits, colors, dig
 
 
 def enumerate_graphs(
@@ -237,78 +243,32 @@ def enumerate_graphs(
 ) -> Iterator[CanonicalRecord]:
     """Stream canonical records in deterministic generation order.
 
-    Order: n ascending, then adjacency bit vector ascending numerically,
-    then coloring lexicographic.  A record is yielded iff its digest is new;
-    the seen set is global across n.  workers > 1 spreads digest computation
-    over at most os.cpu_count() processes while the scan stays in this one;
-    the merged stream is identical to the sequential one because results
-    are consumed in submission order.
+    The generation stream, filtered to first sightings: a record is yielded
+    iff its digest is new, and the seen set is global across n.  workers > 1
+    spreads digest computation over at most os.cpu_count() processes and
+    yields the same stream as workers == 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers == 1:
-        yield from _enumerate_sequential(config, backend)
-    else:
-        yield from _enumerate_parallel(config, backend, workers)
-
-
-def _enumerate_sequential(config, backend):
     seen: set[Digest] = set()
     palette = config.palette
-    for n in range(2, config.n_max + 1):
-        for bits, outs, ins, relabel in _surviving_matrices(n, config.e_max):
-            for colors in config.colorings(n):
-                dig = invariant_from_lists(n, outs, ins, relabel(colors), backend)
-                if dig not in seen:
-                    seen.add(dig)
-                    yield CanonicalRecord(
-                        dig, ComputationalGraph(n, palette, bits, colors)
-                    )
-
-
-def _enumerate_parallel(config, backend, workers):
-    seen: set[Digest] = set()
-    palette = config.palette
-    # The executor forks all its processes at the first submit, so never ask
-    # for more than there are cores.
-    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        for n in range(2, config.n_max + 1):
-            mats = list(_surviving_matrices(n, config.e_max))
-            digest_blocks = pool.map(
-                _matrix_digests,
-                itertools.repeat(n),
-                mats,
-                itertools.repeat(config),
-                itertools.repeat(backend),
-                chunksize=64,
-            )
-            for (bits, *_), digs in zip(mats, digest_blocks):
-                for colors, dig in zip(config.colorings(n), digs):
-                    if dig not in seen:
-                        seen.add(dig)
-                        yield CanonicalRecord(
-                            dig, ComputationalGraph(n, palette, bits, colors)
-                        )
-
-
-def check_bucket(digest: Digest, members: Sequence[ComputationalGraph]) -> None:
-    """Raise FalseMerge unless every member is isomorphic to the first."""
-    canonical = members[0]
-    for g in members[1:]:
-        if not are_isomorphic(canonical, g).isomorphic:
-            raise FalseMerge(digest, canonical, g)
+    for n, bits, colors, dig in _hashed(config, backend, workers):
+        if dig not in seen:
+            seen.add(dig)
+            yield CanonicalRecord(dig, ComputationalGraph(n, palette, bits, colors))
 
 
 def verify_buckets(
     config: EnumerationConfig, backend: str = "md5"
 ) -> EnumerationReport:
-    """Re-run generation keeping duplicates and oracle-check every merge.
+    """Run the generation stream keeping duplicates, oracle-checking each.
 
-    Each graph whose digest was already seen is checked against its bucket's
-    canonical representative with the brute-force oracle.  Returns the
-    report (with buckets retained) if every bucket is pure; raises
-    FalseMerge at the first impure one.  Requires n_max within the oracle
-    cap.
+    Every graph whose digest was already seen is checked against its
+    bucket's canonical representative, the first graph of that digest, with
+    the brute-force oracle.  Returns the report (with buckets retained) if
+    every bucket is pure; raises FalseMerge at the first duplicate, in
+    generation order, that the oracle separates from its representative.
+    Requires n_max within the oracle cap.
     """
     if config.n_max > ORACLE_MAX_VERTICES:
         raise OracleCapExceeded(
@@ -318,17 +278,14 @@ def verify_buckets(
     buckets: dict[Digest, list[ComputationalGraph]] = {}
     per_n: dict[int, int] = {}
     palette = config.palette
-    for n in range(2, config.n_max + 1):
-        for bits, outs, ins, relabel in _surviving_matrices(n, config.e_max):
-            for colors in config.colorings(n):
-                dig = invariant_from_lists(n, outs, ins, relabel(colors), backend)
-                g = ComputationalGraph(n, palette, bits, colors)
-                members = buckets.get(dig)
-                if members is None:
-                    buckets[dig] = [g]
-                    per_n[n] = per_n.get(n, 0) + 1
-                else:
-                    if not are_isomorphic(members[0], g).isomorphic:
-                        raise FalseMerge(dig, members[0], g)
-                    members.append(g)
+    for n, bits, colors, dig in _hashed(config, backend):
+        g = ComputationalGraph(n, palette, bits, colors)
+        members = buckets.get(dig)
+        if members is None:
+            buckets[dig] = [g]
+            per_n[n] = per_n.get(n, 0) + 1
+        elif are_isomorphic(members[0], g).isomorphic:
+            members.append(g)
+        else:
+            raise FalseMerge(dig, members[0], g)
     return EnumerationReport(per_n, sum(per_n.values()), buckets)

@@ -256,6 +256,23 @@ def test_verify_reports_pure_buckets(capsys):
     assert "all buckets pure" in out
 
 
+def test_verify_false_merge_is_negative_answer(monkeypatch, capsys):
+    # a digest that depends only on n merges the 3-vertex path and triangle
+    def by_n(n, outs, ins, colors, backend="md5"):
+        return bytes([n]) * 16
+
+    monkeypatch.setattr(enumeration, "invariant_from_lists", by_n)
+    code = main(["verify", "--max-vertices", "3", "--max-edges", "3", "--colors", "1"])
+    assert code == 1
+    path = {"n": 3, "k": 1, "colors": [1, 1, 1], "edges": [[1, 2], [2, 3]]}
+    triangle = {"n": 3, "k": 1, "colors": [1, 1, 1], "edges": [[1, 2], [1, 3], [2, 3]]}
+    assert capsys.readouterr().out.splitlines() == [
+        f"false merge on digest {'03' * 16}",
+        f"canonical: {json.dumps(path)}",
+        f"offender:  {json.dumps(triangle)}",
+    ]
+
+
 def test_verify_over_cap_is_capability_error(capsys):
     code = main(["verify", "--max-vertices", "13", "--max-edges", "3", "--colors", "1"])
     assert code == 3

@@ -13,12 +13,10 @@ from daghash.enumeration import (
     FalseMerge,
     _surviving_matrices,
     canonical_relabeling,
-    check_bucket,
-    decode_bitvector,
     enumerate_graphs,
-    passes_prune,
     verify_buckets,
 )
+from daghash import enumeration
 from daghash.graphs import (
     ComputationalGraph,
     GraphError,
@@ -28,6 +26,7 @@ from daghash.graphs import (
     iter_pairs,
     linear_extensions,
     neighbor_lists_from_bits,
+    pack_edges,
     pair_count,
     span_mask,
     validate,
@@ -62,43 +61,50 @@ def test_colorings_are_lexicographic():
     assert seen == sorted(seen)
 
 
-def test_decode_bitvector_examples():
-    assert decode_bitvector(2, [1]) == {(1, 2)}
-    assert decode_bitvector(3, [1, 0, 1]) == {(1, 2), (2, 3)}
-    assert decode_bitvector(3, [0, 0, 0]) == set()
-    with pytest.raises(ValueError):
-        decode_bitvector(3, [1, 0])
+def _spans(n, bits):
+    # the production path condition on a packed matrix
+    return span_mask(n, *neighbor_lists_from_bits(n, bits)) == (1 << n) - 1
+
+
+def test_neighbor_lists_from_bits_examples():
+    assert neighbor_lists_from_bits(2, 0b1) == ([[1], []], [[], [0]])
+    assert neighbor_lists_from_bits(3, 0b101) == ([[1], [2], []], [[], [0], [1]])
+    assert neighbor_lists_from_bits(3, 0) == ([[], [], []], [[], [], []])
 
 
 def test_decode_positions_follow_pair_order():
     n = 5
     for t, pair in enumerate(iter_pairs(n)):
-        bits = [0] * pair_count(n)
-        bits[t] = 1
-        assert decode_bitvector(n, bits) == {pair}
+        outs, ins = neighbor_lists_from_bits(n, 1 << t)
+        assert {(i + 1, j + 1) for i, row in enumerate(outs) for j in row} == {pair}
+        assert {(i + 1, j + 1) for j, row in enumerate(ins) for i in row} == {pair}
 
 
-def test_passes_prune_examples():
-    assert passes_prune({(1, 2), (2, 3)}, 3, 9)
-    assert not passes_prune({(1, 3)}, 3, 9)
-    complete7 = set(iter_pairs(7))
-    assert len(complete7) == 21
-    assert not passes_prune(complete7, 7, 9)
+def test_surviving_matrices_examples():
+    survivors3 = {bits for bits, *_ in _surviving_matrices(3, 9)}
+    assert pack_edges(3, {(1, 2), (2, 3)}) in survivors3
+    assert pack_edges(3, {(1, 3)}) not in survivors3
+    # the edge budget: the complete 4-vertex graph spans, and has 6 edges
+    complete4 = pack_edges(4, iter_pairs(4))
+    assert complete4 in {bits for bits, *_ in _surviving_matrices(4, 6)}
+    assert complete4 not in {bits for bits, *_ in _surviving_matrices(4, 5)}
+    complete7 = pack_edges(7, iter_pairs(7))
+    assert complete7.bit_count() == 21
+    assert complete7 not in {bits for bits, *_ in _surviving_matrices(7, 9)}
 
 
 @settings(max_examples=80)
 @given(st.integers(2, 6), st.data())
 def test_prune_agrees_with_validate(n, data):
-    """The path-reason prune matches validate's path condition exactly."""
+    """The path-condition prune matches validate's path condition exactly."""
     bits = data.draw(st.integers(0, (1 << pair_count(n)) - 1))
     edges = {p for t, p in enumerate(iter_pairs(n)) if bits >> t & 1}
-    pruned_ok = passes_prune(edges, n, pair_count(n))
     try:
         validate(n, 1, edges, [1] * n)
         valid = True
     except GraphError:
         valid = False
-    assert pruned_ok == valid
+    assert _spans(n, bits) == valid
 
 
 def test_smallest_space_single_record():
@@ -217,9 +223,9 @@ def test_completeness_small_scale():
     for n in range(2, cfg.n_max + 1):
         pairs = list(iter_pairs(n))
         for bits in range(1 << len(pairs)):
-            edges = [p for t, p in enumerate(pairs) if bits >> t & 1]
-            if not passes_prune(set(edges), n, cfg.e_max):
+            if bits.bit_count() > cfg.e_max or not _spans(n, bits):
                 continue
+            edges = [p for t, p in enumerate(pairs) if bits >> t & 1]
             for colors in itertools.product((1, 2), repeat=n):
                 g = validate(n, cfg.k, edges, colors)
                 rec = by_digest[graph_invariant(g)]
@@ -246,13 +252,17 @@ def test_verify_buckets_respects_oracle_cap():
         verify_buckets(EnumerationConfig(13, 3, 1))
 
 
-def test_injected_collision_is_reported(pinned_pair):
-    digest = graph_invariant(pinned_pair.g1)
+def test_injected_collision_is_reported(monkeypatch):
+    # a digest that depends only on n merges the 3-vertex path and triangle
+    def by_n(n, outs, ins, colors, backend="md5"):
+        return bytes([n]) * 16
+
+    monkeypatch.setattr(enumeration, "invariant_from_lists", by_n)
     with pytest.raises(FalseMerge) as exc:
-        check_bucket(digest, [pinned_pair.g1, pinned_pair.g2])
-    assert exc.value.digest == digest
-    assert exc.value.canonical == pinned_pair.g1
-    assert exc.value.offender == pinned_pair.g2
+        verify_buckets(EnumerationConfig(3, 3, 1))
+    assert exc.value.digest == bytes([3]) * 16
+    assert exc.value.canonical == validate(3, 1, [(1, 2), (2, 3)], [1, 1, 1])
+    assert exc.value.offender == validate(3, 1, [(1, 2), (1, 3), (2, 3)], [1, 1, 1])
 
 
 def test_report_total_is_checked():

@@ -5,7 +5,7 @@ import itertools
 import struct
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 
 from conftest import valid_graphs
 from daghash import hashing
@@ -189,8 +189,7 @@ def test_invariant_from_lists_matches_graph_invariant(small_corpus):
         assert _twice(rec.graph) == [rec.invariant, graph_invariant(rec.graph)]
 
 
-# few random 7-vertex matrices span input to output, hence the filtering
-@settings(max_examples=150, suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=150)
 @given(valid_graphs(max_n=7))
 def test_kernel_matches_refinement_trace(g):
     want = final_digest(g.n, refinement_trace(g)[-1])

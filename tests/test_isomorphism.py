@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from conftest import valid_graphs
 from daghash.graphs import (
     ComputationalGraph,
+    GraphError,
     Permutation,
     apply_permutation,
     linear_extensions,
@@ -79,6 +80,22 @@ def test_verify_witness_checks_colors():
     a = validate(2, 2, {(1, 2)}, [1, 2])
     b = validate(2, 2, {(1, 2)}, [1, 1])
     assert not verify_witness(a, b, Permutation.identity(2))
+
+
+def test_verify_witness_rejects_reversed_edges():
+    # the reversal maps the path onto its mirror image: same shape, every
+    # edge pointing backwards
+    path = validate(3, 1, {(1, 2), (2, 3)}, [1, 1, 1])
+    assert not verify_witness(path, path, Permutation((3, 2, 1)))
+
+
+def test_verify_witness_size_mismatch_is_error():
+    g2 = validate(2, 1, {(1, 2)}, [1, 1])
+    g3 = validate(3, 1, {(1, 2), (2, 3)}, [1, 1, 1])
+    with pytest.raises(GraphError):
+        verify_witness(g2, g3, Permutation.identity(2))
+    with pytest.raises(GraphError):
+        verify_witness(g3, g3, Permutation.identity(2))
 
 
 def test_witness_type_shape():
