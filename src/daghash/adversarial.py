@@ -92,6 +92,28 @@ def _certified(g1: ComputationalGraph, g2: ComputationalGraph) -> AdversarialPai
     return AdversarialPair(g1, g2, cert)
 
 
+def _layered_pair(degree, size, color_a, color_b) -> AdversarialPair:
+    # The two circulant middles of bipartite_adversarial_pair, with layer
+    # colors color_a and color_b and input and output (and k) one past both.
+    m, d, half = size, degree, size // 2
+    n = 2 * m + 2
+    a = [2 + u for u in range(m)]
+    b = [2 + m + v for v in range(m)]
+    ends = [(1, v) for v in a] + [(v, n) for v in b]
+    mid1 = [(a[u], b[(u + t) % m]) for u in range(m) for t in range(d)]
+    mid2 = [
+        (a[base + u], b[base + (u + t) % half])
+        for base in (0, half)
+        for u in range(half)
+        for t in range(d)
+    ]
+    io = max(color_a, color_b) + 1
+    colors = (io,) + (color_a,) * m + (color_b,) * m + (io,)
+    g1 = ComputationalGraph(n, io, pack_edges(n, ends + mid1), colors)
+    g2 = ComputationalGraph(n, io, pack_edges(n, ends + mid2), colors)
+    return _certified(g1, g2)
+
+
 def counterexample_pair(color_a: int = 1, color_b: int = 2) -> AdversarialPair:
     """The pinned 10-vertex, 16-edge pair with equal digests.
 
@@ -103,15 +125,7 @@ def counterexample_pair(color_a: int = 1, color_b: int = 2) -> AdversarialPair:
     """
     if color_a < 1 or color_b < 1:
         raise ValueError("colors must be positive integers")
-    io = max(color_a, color_b) + 1
-    src = [(1, u) for u in (2, 3, 4, 5)]
-    snk = [(v, 10) for v in (6, 7, 8, 9)]
-    eight_cycle = [(2, 6), (2, 7), (3, 7), (3, 8), (4, 8), (4, 9), (5, 9), (5, 6)]
-    four_cycles = [(2, 6), (2, 7), (3, 6), (3, 7), (4, 8), (4, 9), (5, 8), (5, 9)]
-    colors = (io,) + (color_a,) * 4 + (color_b,) * 4 + (io,)
-    g1 = ComputationalGraph(10, io, pack_edges(10, src + eight_cycle + snk), colors)
-    g2 = ComputationalGraph(10, io, pack_edges(10, src + four_cycles + snk), colors)
-    return _certified(g1, g2)
+    return _layered_pair(2, 4, color_a, color_b)
 
 
 def bipartite_adversarial_pair(degree: int, size: int) -> AdversarialPair:
@@ -121,9 +135,10 @@ def bipartite_adversarial_pair(degree: int, size: int) -> AdversarialPair:
     every vertex of A with out-degree `degree` and every vertex of B with
     in-degree `degree`.  g1 wires one circulant across the full layers
     (A_u to B_{(u+t) mod size} for t < degree), a connected middle; g2 wires
-    two disjoint half-size circulant blocks, a two-component middle.  The
-    pair generalizes the 10-vertex counterexample, which is exactly
-    degree=2, size=4 up to relabeling.
+    two disjoint half-size circulant blocks, a two-component middle.  Layers
+    A and B take colors 1 and 2, input and output color 3.  The pair
+    generalizes the 10-vertex counterexample, which is identical to
+    degree=2, size=4.
 
     Needs size even and size/2 >= degree so the half blocks exist;
     otherwise ConstructionDegenerate.  degree < 2 or size <= degree are
@@ -138,21 +153,4 @@ def bipartite_adversarial_pair(degree: int, size: int) -> AdversarialPair:
         raise ConstructionDegenerate(
             f"size={size} cannot split into two blocks of degree {degree}"
         )
-    m, d = size, degree
-    n = 2 * m + 2
-    a = [2 + u for u in range(m)]
-    b = [2 + m + v for v in range(m)]
-    src = [(1, v) for v in a]
-    snk = [(v, n) for v in b]
-    mid1 = [(a[u], b[(u + t) % m]) for u in range(m) for t in range(d)]
-    half = m // 2
-    mid2 = [
-        (a[base + u], b[base + (u + t) % half])
-        for base in (0, half)
-        for u in range(half)
-        for t in range(d)
-    ]
-    colors = (3,) + (1,) * m + (2,) * m + (3,)
-    g1 = ComputationalGraph(n, 3, pack_edges(n, src + mid1 + snk), colors)
-    g2 = ComputationalGraph(n, 3, pack_edges(n, src + mid2 + snk), colors)
-    return _certified(g1, g2)
+    return _layered_pair(degree, size, 1, 2)

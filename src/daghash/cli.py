@@ -142,9 +142,8 @@ def _cmd_verify(args) -> int:
         print(f"canonical: {json.dumps(graph_to_dict(fm.canonical))}")
         print(f"offender:  {json.dumps(graph_to_dict(fm.offender))}")
         return 1
-    duplicates = sum(len(m) for m in report.buckets.values()) - report.total
     _print_per_n(report.per_n)
-    print(f"all buckets pure ({duplicates} duplicate members verified)")
+    print(f"all buckets pure ({report.duplicates} duplicate members verified)")
     return 0
 
 

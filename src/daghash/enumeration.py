@@ -9,9 +9,10 @@ enumerate_graphs keeps a graph iff its digest has not been seen before,
 making the first-observed graph the canonical representative of its
 equivalence class.  The digest dedup is sound only insofar as the invariant
 separates non-isomorphic graphs; verify_buckets re-checks that assumption on
-the same stream with the brute-force oracle by retaining every duplicate and
-demanding bucket purity.  With several workers only the hashing moves to a
-process pool; the stream, and so every output, is unchanged.
+the same stream with the brute-force oracle, checking every duplicate against
+its digest's first graph and demanding bucket purity.  With several workers
+only the hashing moves to a process pool; the stream, and so every output,
+is unchanged.
 
 The seen-digest set spans all n.  Digests embed the vertex count, so graphs
 of different sizes cannot merge; the global set simply mirrors the loop
@@ -81,8 +82,6 @@ class EnumerationConfig:
         interior = range(1, self.k + 1)
         if not self.reserved_io:
             yield from itertools.product(interior, repeat=n)
-        elif n == 2:
-            yield (self.k + 1, self.k + 2)
         else:
             first, last = self.k + 1, self.k + 2
             for mid in itertools.product(interior, repeat=n - 2):
@@ -99,11 +98,11 @@ class CanonicalRecord:
 
 @dataclass(frozen=True, slots=True)
 class EnumerationReport:
-    """Per-n class counts, their total, and (optionally) retained buckets."""
+    """Per-n class counts, their total, and the oracle-checked duplicates."""
 
     per_n: dict[int, int]
     total: int
-    buckets: dict[Digest, list[ComputationalGraph]] | None = None
+    duplicates: int
 
     def __post_init__(self):
         if self.total != sum(self.per_n.values()):
@@ -261,31 +260,31 @@ def enumerate_graphs(
 def verify_buckets(
     config: EnumerationConfig, backend: str = "md5"
 ) -> EnumerationReport:
-    """Run the generation stream keeping duplicates, oracle-checking each.
+    """Run the generation stream, oracle-checking every duplicate.
 
-    Every graph whose digest was already seen is checked against its
-    bucket's canonical representative, the first graph of that digest, with
-    the brute-force oracle.  Returns the report (with buckets retained) if
-    every bucket is pure; raises FalseMerge at the first duplicate, in
-    generation order, that the oracle separates from its representative.
-    Requires n_max within the oracle cap.
+    The first graph of each digest is its bucket's canonical representative,
+    and only it is kept.  Every later graph of that digest is checked against
+    it with the brute-force oracle and counted.  Returns the report if every
+    bucket is pure; raises FalseMerge at the first duplicate, in generation
+    order, that the oracle separates from its representative.  Requires
+    n_max within the oracle cap.
     """
     if config.n_max > ORACLE_MAX_VERTICES:
         raise OracleCapExceeded(
             f"verification needs the oracle, capped at "
             f"{ORACLE_MAX_VERTICES} vertices; n_max={config.n_max}"
         )
-    buckets: dict[Digest, list[ComputationalGraph]] = {}
+    reps: dict[Digest, ComputationalGraph] = {}
     per_n: dict[int, int] = {}
+    duplicates = 0
     palette = config.palette
     for n, bits, colors, dig in _hashed(config, backend):
         g = ComputationalGraph(n, palette, bits, colors)
-        members = buckets.get(dig)
-        if members is None:
-            buckets[dig] = [g]
+        rep = reps.setdefault(dig, g)
+        if rep is g:
             per_n[n] = per_n.get(n, 0) + 1
-        elif are_isomorphic(members[0], g).isomorphic:
-            members.append(g)
+        elif are_isomorphic(rep, g).isomorphic:
+            duplicates += 1
         else:
-            raise FalseMerge(dig, members[0], g)
-    return EnumerationReport(per_n, sum(per_n.values()), buckets)
+            raise FalseMerge(dig, rep, g)
+    return EnumerationReport(per_n, sum(per_n.values()), duplicates)

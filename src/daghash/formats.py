@@ -11,7 +11,7 @@ equal inputs produce byte-equal text.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .graphs import ComputationalGraph, GraphError, normalize_dag, validate
 from .hashing import Digest

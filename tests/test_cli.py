@@ -256,6 +256,13 @@ def test_verify_reports_pure_buckets(capsys):
     assert "all buckets pure" in out
 
 
+def test_verify_readme_example(capsys):
+    argv = ["--max-vertices", "5", "--max-edges", "9", "--colors", "3", "--reserved-io"]
+    assert main(["verify", *argv]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "all buckets pure (832 duplicate members verified)"
+
+
 def test_verify_false_merge_is_negative_answer(monkeypatch, capsys):
     # a digest that depends only on n merges the 3-vertex path and triangle
     def by_n(n, outs, ins, colors, backend="md5"):

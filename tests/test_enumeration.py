@@ -234,17 +234,17 @@ def test_completeness_small_scale():
 
 
 def test_verify_buckets_small_pure():
+    # one coloring per matrix and no two isomorphic matrices: no duplicates
     report = verify_buckets(EnumerationConfig(3, 3, 1))
     assert report.total == 3 and report.per_n == {2: 1, 3: 2}
-    assert len(report.buckets) == 3
-    members = sum(len(m) for m in report.buckets.values())
-    assert members >= report.total
+    assert report.duplicates == 0
 
 
 def test_verify_buckets_counts_match_enumerate():
     cfg = EnumerationConfig(4, 6, 2)
     report = verify_buckets(cfg)
     assert report.total == sum(1 for _ in enumerate_graphs(cfg))
+    assert report.duplicates == 8
 
 
 def test_verify_buckets_respects_oracle_cap():
@@ -267,7 +267,7 @@ def test_injected_collision_is_reported(monkeypatch):
 
 def test_report_total_is_checked():
     with pytest.raises(ValueError):
-        EnumerationReport({2: 1}, 5)
+        EnumerationReport({2: 1}, 5, 0)
 
 
 def test_record_type_is_plain():

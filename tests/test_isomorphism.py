@@ -7,15 +7,12 @@ from hypothesis import given, settings
 
 from conftest import valid_graphs
 from daghash.graphs import (
-    ComputationalGraph,
     GraphError,
     Permutation,
     apply_permutation,
     linear_extensions,
-    pack_edges,
     validate,
 )
-from daghash.hashing import graph_invariant
 from daghash.isomorphism import (
     ORACLE_MAX_VERTICES,
     IsoWitness,
