@@ -4,6 +4,7 @@ from .graphs import (
     ComputationalGraph,
     Permutation,
     GraphError,
+    CapabilityExceeded,
     EdgeOrderViolation,
     ColorOutOfRange,
     PathConditionViolation,

@@ -4,7 +4,7 @@ Exit codes are uniform across commands: 0 for success or a positive answer,
 1 for a negative result (non-isomorphic, impure bucket, degenerate
 construction), 2 for input errors (bad flags, unparsable or invalid graph
 files), 3 when a request exceeds a documented capability limit (the
-brute-force oracle cap).
+brute-force oracle cap, the per-n coloring count, the concat digest size).
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .adversarial import (
 )
 from .enumeration import EnumerationConfig, FalseMerge, enumerate_graphs, verify_buckets
 from .formats import graph_to_dict, load_graph, record_line, summary_line
-from .graphs import GraphError
+from .graphs import CapabilityExceeded, GraphError
 from .hashing import BACKENDS, digest_hex, graph_invariant
-from .isomorphism import OracleCapExceeded, are_isomorphic
+from .isomorphism import are_isomorphic
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except OracleCapExceeded as e:
+    except CapabilityExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (GraphError, ValueError, OSError) as e:

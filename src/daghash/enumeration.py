@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import (
+    CapabilityExceeded,
     ComputationalGraph,
     neighbor_lists_from_bits,
     pair_count,
@@ -48,6 +49,10 @@ from .graphs import (
 )
 from .hashing import Digest, invariant_from_lists
 from .isomorphism import ORACLE_MAX_VERTICES, OracleCapExceeded, are_isomorphic
+
+# Most colorings of one vertex count the stream lists; the reference space
+# (n <= 7, k = 3, reserved I/O) needs 243.
+MAX_COLORINGS = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,8 +219,17 @@ def _hashed(config, backend, workers=1):
     Generation order: n ascending, then bits ascending, then colorings
     lexicographic.  workers > 1 computes each matrix's digests in a process
     pool while the scan stays in this process; the pool's map returns blocks
-    in submission order, so the stream is the sequential one.
+    in submission order, so the stream is the sequential one.  Raises
+    CapabilityExceeded, before yielding, if n_max has over MAX_COLORINGS
+    colorings.
     """
+    # The count is k ** (free vertices at n_max).  Any k >= 2 exceeds the cap
+    # at 21 free vertices, so clamping the exponent there keeps the int small.
+    free = config.n_max - 2 if config.reserved_io else config.n_max
+    if config.k ** min(free, MAX_COLORINGS.bit_length()) > MAX_COLORINGS:
+        raise CapabilityExceeded(
+            f"{config.k} ** {free} colorings at n = {config.n_max} exceed {MAX_COLORINGS}"
+        )
     # The executor forks all its processes at the first submit, so never ask
     # for more than there are cores.
     with (

@@ -20,6 +20,10 @@ class GraphError(ValueError):
     """Malformed graph input."""
 
 
+class CapabilityExceeded(ValueError):
+    """A request exceeds a documented capability limit of the library."""
+
+
 class EdgeOrderViolation(GraphError):
     """An edge (i, j) does not satisfy i < j."""
 
@@ -272,6 +276,8 @@ def normalize_dag(
     """
     if n < 1:
         raise GraphError(f"vertex count must be positive, got {n}")
+    if len(colors) != n:
+        raise GraphError(f"expected {n} colors, got {len(colors)}")
     edge_set = set()
     for i, j in edges:
         if not (1 <= i <= n and 1 <= j <= n):

@@ -12,12 +12,13 @@ bytes, making the encoding injective.  Two backends share this encoding:
 
 * ``md5``    -- 16-byte digests, the default.
 * ``concat`` -- the identity map on the encoded bytes.  Collision-free, but
-  digests grow exponentially with the round count; practical only for small
-  graphs.
+  digests grow exponentially with the round count, so a graph whose final
+  digest would exceed CONCAT_MAX_BYTES raises CapabilityExceeded up front.
 
-One loop, ``_refine``, serves traces, one-shot hashing and concat.  A structure
-hashed twice in a row runs md5 code compiled for it, cached until the next
-structure.  md5 is CPython's ``_md5``, or ``hashlib.md5`` if that is missing.
+One loop, the ``_rounds`` generator, serves traces, one-shot, batch and
+first-sighting digests.  A structure hashed twice in a row runs md5 code
+compiled for it, cached until the next structure.  md5 is CPython's ``_md5``,
+or ``hashlib.md5`` if that is missing.
 
 For md5, ``invariant_from_lists`` also keeps a table of the digests it has
 computed for the current n, keyed by (structure, colors), and drops it when n
@@ -32,7 +33,7 @@ from __future__ import annotations
 import struct
 from typing import Callable, Sequence
 
-from .graphs import ComputationalGraph, adjacency_lists
+from .graphs import CapabilityExceeded, ComputationalGraph, adjacency_lists
 
 try:
     from _md5 import md5 as _md5_new
@@ -43,14 +44,16 @@ Digest = bytes
 
 BACKENDS = ("md5", "concat")
 
+CONCAT_MAX_BYTES = 1 << 30  # the pinned 10-vertex pair needs 534,164,472
+
 _LE64 = [struct.pack("<Q", v) for v in range(128)]
 
 
 def _le64(v: int) -> bytes:
     if 0 <= v < 128:
         return _LE64[v]
-    if v < 0:
-        raise ValueError(f"LE64 encodes non-negative ints, got {v}")
+    if not 0 <= v < 1 << 64:
+        raise ValueError(f"LE64 encodes ints in [0, 2**64), got {v}")
     return struct.pack("<Q", v)
 
 
@@ -106,7 +109,7 @@ def graph_invariant(g: ComputationalGraph, backend: str = "md5") -> Digest:
     Does not rely on the path condition, only on the i < j representation.
     """
     outs, ins = adjacency_lists(g)
-    return _generic_invariant(g.n, outs, ins, g.colors, digest_function(backend), ({}, {}, {}))
+    return _generic_invariant(g.n, outs, ins, g.colors, digest_function(backend), ({}, {}))
 
 
 def refinement_trace(
@@ -114,14 +117,7 @@ def refinement_trace(
 ) -> list[list[Digest]]:
     """The n+1 per-round digest lists (initial plus each of the n rounds)."""
     outs, ins = adjacency_lists(g)
-    n = g.n
-    d = digest_function(backend)
-    h = _init_digests(n, outs, ins, g.colors, d)
-    trace = [list(h)]
-    for _ in range(n):
-        h = _refine(n, outs, ins, h, d, {})
-        trace.append(list(h))
-    return trace
+    return list(_rounds(g.n, outs, ins, g.colors, digest_function(backend), {}))
 
 
 def final_digest(n: int, digests: Sequence[Digest], backend: str = "md5") -> Digest:
@@ -130,11 +126,20 @@ def final_digest(n: int, digests: Sequence[Digest], backend: str = "md5") -> Dig
     return d(b"".join([_le64(n)] + sorted(digests)))
 
 
-def _init_digests(n, outs, ins, colors, d):
-    return [
-        d(_le64(len(outs[i])) + _le64(len(ins[i])) + _le64(colors[i]))
-        for i in range(n)
-    ]
+def _rounds(n, outs, ins, colors, d, memo):
+    # Yields the initial digest list, then the list after each of n rounds.
+    if d is _identity:
+        # A concat digest starts at 24 bytes; a round adds 16 and the neighbors'.
+        size = [24] * n
+        for _ in range(n):
+            size = [16 + size[i] + sum(size[j] for j in (*outs[i], *ins[i])) for i in range(n)]
+        if (total := 8 + sum(size)) > CONCAT_MAX_BYTES:
+            raise CapabilityExceeded(f"concat digest of {total} bytes exceeds CONCAT_MAX_BYTES")
+    h = [d(_le64(len(outs[i])) + _le64(len(ins[i])) + _le64(colors[i])) for i in range(n)]
+    yield h
+    for _ in range(n):
+        h = _refine(n, outs, ins, h, d, memo)
+        yield h
 
 
 def _refine(n, outs, ins, h, d, memo):
@@ -192,7 +197,7 @@ def invariant_from_lists(
     for c in colors:
         if type(c) is not int or c < 0:
             raise ValueError(f"color {c!r} is not an int >= 0")
-    if backend == "md5" and 0 < n < 128:
+    if backend == "md5" and n:
         if _table[0] != n:
             _table = (n, {})
         known = _table[1].setdefault(key, {})
@@ -207,24 +212,18 @@ def invariant_from_lists(
                 got = kernel(colors)
             else:
                 _kernel = (key, None)
-                got = _generic_invariant(n, outs, ins, colors, _md5, ({}, {}, {}))
+                got = _generic_invariant(n, outs, ins, colors, _md5, ({}, {}))
             known[ckey] = got
         return got
-    return _generic_invariant(n, outs, ins, colors, digest_function(backend), ({}, {}, {}))
+    return _generic_invariant(n, outs, ins, colors, digest_function(backend), ({}, {}))
 
 
 def _generic_invariant(n, outs, ins, colors, d, ctx):
-    # ctx is (interned, memo, final_memo): init digests interned by content,
-    # round outputs memoized on their inputs, final digests memoized on the
-    # sorted per-vertex list.  All equal digests inside one ctx are therefore
-    # the same object, so sorts and comparisons short-circuit on identity.
-    interned, memo, final_memo = ctx
-    h = [
-        interned.setdefault(v, v)
-        for v in _init_digests(n, outs, ins, colors, d)
-    ]
-    for _ in range(n):
-        h = _refine(n, outs, ins, h, d, memo)
+    # ctx is (memo, final_memo): round outputs memoized on their inputs, final
+    # digests on the sorted per-vertex list.  After round 0, equal digests in
+    # one ctx are one object, so sorts and comparisons short-circuit on identity.
+    memo, final_memo = ctx
+    *_, h = _rounds(n, outs, ins, colors, d, memo)
     h.sort()
     # The per-vertex digests are kept alive by the round memo for as long as
     # the ctx exists, so their ids are stable and cheaper to key on than
@@ -252,7 +251,7 @@ def graph_invariants(
     if backend == "md5":
         return [graph_invariant(g, "md5") for g in graphs]
     d = digest_function(backend)
-    ctx = ({}, {}, {})
+    ctx = ({}, {})
     out = []
     for g in graphs:
         outs, ins = adjacency_lists(g)
@@ -272,12 +271,12 @@ def _compile_kernel(n, outs, ins):
         return f"*sorted(({hs})), " if len(js) > 1 else f"{hs}, " if js else ""
 
     hs = "".join(f"h{i}, " for i in range(n))
-    pre = [(_LE64[len(outs[i])], _LE64[len(ins[i])]) for i in range(n)]
+    pre = [(_le64(len(outs[i])), _le64(len(ins[i]))) for i in range(n)]
     src = "def kernel(colors):\n" + "".join(
         f"    h{i} = md5({o + d!r} + le64(colors[{i}])).digest()\n" for i, (o, d) in enumerate(pre)
     ) + f"    for _ in range({n}):\n        {hs}= " + "".join(
         f"md5(join(({o!r}, {group(outs[i])}{d!r}, {group(ins[i])}h{i}))).digest(), "
         for i, (o, d) in enumerate(pre)
-    ) + f"\n    return md5({_LE64[n]!r} + join(sorted(({hs})))).digest()\n"
+    ) + f"\n    return md5({_le64(n)!r} + join(sorted(({hs})))).digest()\n"
     exec(src, ns := {"md5": _md5_new, "join": b"".join, "le64": _le64})
     return ns["kernel"]

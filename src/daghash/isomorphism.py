@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ComputationalGraph, GraphError, Permutation
+from .graphs import CapabilityExceeded, ComputationalGraph, GraphError, Permutation
 
 ORACLE_MAX_VERTICES = 12
 
 
-class OracleCapExceeded(ValueError):
+class OracleCapExceeded(CapabilityExceeded):
     """Graphs are larger than the brute-force search is willing to handle."""
 
 

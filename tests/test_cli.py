@@ -1,13 +1,26 @@
 """Command-line behavior: output formats and the exit-code contract."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from daghash import enumeration
+from conftest import valid_graphs
+from daghash import enumeration, hashing
+from daghash.adversarial import bipartite_adversarial_pair
 from daghash.cli import main
 from daghash.enumeration import EnumerationConfig, enumerate_graphs
-from daghash.formats import graph_from_dict, parse_record_line, parse_summary_line, save_graph
+from daghash.formats import (
+    graph_from_dict,
+    graph_to_dict,
+    parse_record_line,
+    parse_summary_line,
+    save_graph,
+)
 from daghash.graphs import GraphError, validate
 from daghash.hashing import digest_hex, graph_invariant
 
@@ -101,6 +114,25 @@ def test_json_booleans_are_input_error(tmp_path, capsys):
         path.write_text(json.dumps(obj))
         assert main(["hash", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["md5", "concat"])
+def test_hash_color_past_le64_is_input_error(tmp_path, backend, capsys):
+    # a color of 2**64 does not fit the eight-byte encoding
+    path = tmp_path / "wide.json"
+    big = 2**64
+    path.write_text(json.dumps({"n": 2, "k": big, "colors": [big, 1], "edges": [[1, 2]]}))
+    assert main(["hash", str(path), "--backend", backend]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["hash", "hash --normalize"])
+def test_huge_vertex_count_is_input_error(tmp_path, command, capsys):
+    # normalize_dag once allocated n + 1 lists before counting the colors
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1_000_000_000, "k": 1, "colors": [1], "edges": []}))
+    assert main([*command.split(), str(path)]) == 2
+    assert "expected 1000000000 colors" in capsys.readouterr().err
 
 
 DUPLICATE_EDGE = {"n": 3, "k": 1, "colors": [1, 1, 1], "edges": [[1, 2], [2, 3], [1, 2]]}
@@ -284,6 +316,74 @@ def test_verify_over_cap_is_capability_error(capsys):
     code = main(["verify", "--max-vertices", "13", "--max-edges", "3", "--colors", "1"])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_too_many_colorings_is_capability_error(tmp_path, command, capsys):
+    # 30000 ** 2 colorings at n = 2 once filled memory before the first record
+    out = tmp_path / "records.jsonl"
+    argv = [command, "--max-vertices", "2", "--max-edges", "1", "--colors", "30000"]
+    if command == "enumerate":
+        argv += ["--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceed" in captured.err
+    assert not out.exists()
+
+
+def test_concat_over_size_cap_is_capability_error(tmp_path, capsys):
+    # the 14-vertex adversarial graph's concat digest would take about 831 GB
+    path = write(tmp_path, "g1.json", bipartite_adversarial_pair(2, 6).g1)
+    assert main(["hash", path, "--backend", "concat"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "CONCAT_MAX_BYTES" in captured.err
+
+
+_INTS = st.integers(-3, 10) | st.integers(-(2**70), 2**70) | st.integers(0, 10**9)
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4) | _INTS,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+_GRAPHISH = st.fixed_dictionaries({
+    "n": _INTS | _JUNK,
+    "k": _INTS | _JUNK,
+    "colors": st.lists(_INTS, max_size=9) | _JUNK,
+    "edges": st.lists(st.lists(_INTS, min_size=2, max_size=2) | _JUNK, max_size=8) | _JUNK,
+})
+_FILES = (
+    valid_graphs(max_n=8).map(graph_to_dict) | _GRAPHISH | _JUNK
+).map(lambda v: json.dumps(v).encode()) | st.binary(max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["hash", "hash --normalize", "hash --backend concat", "iso"]),
+    st.lists(_FILES, min_size=2, max_size=2),
+)
+def test_exit_code_contract_fuzz(command, contents):
+    """Any file gives exit 0, 1 (iso's negative answer only), 2 or 3."""
+    cap = hashing.CONCAT_MAX_BYTES
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for t, data in enumerate(contents[: 2 if command == "iso" else 1]):
+            paths.append(str(Path(tmp) / f"g{t}.json"))
+            Path(paths[-1]).write_bytes(data)
+        try:
+            # valid concat inputs reach the cap at test-sized digests
+            hashing.CONCAT_MAX_BYTES = 1 << 20
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([*command.split(), *paths])
+        finally:
+            hashing.CONCAT_MAX_BYTES = cap
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert command == "iso" and out.getvalue() == "non-isomorphic\n"
 
 
 def test_adversarial_figure2_stdout(pinned_pair, capsys):

@@ -11,6 +11,7 @@ from conftest import valid_graphs
 from daghash import hashing
 from daghash.enumeration import canonical_relabeling
 from daghash.graphs import (
+    CapabilityExceeded,
     ComputationalGraph,
     adjacency_lists,
     apply_permutation,
@@ -289,8 +290,9 @@ def test_colors_checked_before_table_lookup(monkeypatch, bad):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_le64_rejects_negative_values(backend):
-    # a negative value once indexed the LE64 table from its end: -1 was 127
-    for args in [(-1, 0, 1), (0, -1, 1), (0, 0, -1), (0, 0, -200)]:
+    # a negative value once indexed the LE64 table from its end: -1 was 127;
+    # 2**64 does not fit in eight bytes
+    for args in [(-1, 0, 1), (0, -1, 1), (0, 0, -1), (0, 0, -200), (0, 0, 2**64)]:
         with pytest.raises(ValueError):
             vertex_init_digest(*args, backend)
 
@@ -350,14 +352,29 @@ def test_large_color_values_hash():
     assert graph_invariant(g, "concat") != graph_invariant(h, "concat")
 
 
-def test_wide_graph_uses_generic_md5_path():
-    # n >= 128 falls back to the generic implementation; a long path graph
-    # keeps the digest count small enough to run quickly
+def test_wide_graph_compiles_one_kernel():
+    # n and the degrees of vertices 1 and n are past the 128-entry LE64 table
     n = 130
-    edges = [(i, i + 1) for i in range(1, n)]
+    edges = [(1, j) for j in range(2, n)] + [(j, n) for j in range(2, n)]
     g = validate(n, 1, edges, [1] * n)
-    d = graph_invariant(g)
-    assert len(d) == 16
+    assert _twice(g) == [graph_invariant(g)] * 2
+
+
+@settings(max_examples=60)
+@given(valid_graphs(max_n=6))
+def test_concat_cap_matches_digest_length(g):
+    # the size recurrence is exact: a cap of the digest's length passes, one
+    # byte less refuses before building anything
+    size = len(graph_invariant(g, "concat"))
+    cap = hashing.CONCAT_MAX_BYTES
+    try:
+        hashing.CONCAT_MAX_BYTES = size
+        assert len(graph_invariants([g, g], "concat")[1]) == size
+        hashing.CONCAT_MAX_BYTES = size - 1
+        with pytest.raises(CapabilityExceeded):
+            refinement_trace(g, "concat")
+    finally:
+        hashing.CONCAT_MAX_BYTES = cap
 
 
 def test_color_sensitivity_on_rigid_graphs(small_corpus):
