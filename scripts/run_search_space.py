@@ -1,7 +1,7 @@
 """Time a full enumeration run and print the per-size class table.
 
 Defaults reproduce the reserved-io search space with up to 7 vertices,
-9 edges, and 3 operation colors (423,624 classes, about 60 s and 96 MB
+9 edges, and 3 operation colors (423,624 classes, about 50 s and 96 MB
 peak RSS on one core).  Pass --out to keep the JSONL records.
 """
 

@@ -4,7 +4,8 @@ Exit codes are uniform across commands: 0 for success or a positive answer,
 1 for a negative result (non-isomorphic, impure bucket, degenerate
 construction), 2 for input errors (bad flags, unparsable or invalid graph
 files), 3 when a request exceeds a documented capability limit (the
-brute-force oracle cap, the per-n coloring count, the concat digest size).
+brute-force oracle cap, the per-n coloring count, the concat digest size,
+the vertex count of a packed matrix).
 """
 
 from __future__ import annotations

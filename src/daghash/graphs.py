@@ -66,16 +66,26 @@ def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
             yield i, j
 
 
+# Largest vertex count a packed matrix may have: 2^14 vertices need 16 MiB.
+MAX_VERTICES = 1 << 14
+
+
 def pack_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
-    """Pack an i < j edge set into the upper-triangular bit matrix."""
-    bits = 0
+    """Pack an i < j edge set into the upper-triangular bit matrix.
+
+    Raises CapabilityExceeded, before allocating, if n exceeds MAX_VERTICES.
+    """
+    if n > MAX_VERTICES:
+        raise CapabilityExceeded(f"{n} vertices exceed MAX_VERTICES = {MAX_VERTICES}")
+    packed = bytearray((pair_count(n) + 7) // 8)
     for i, j in edges:
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i}, {j}) has an endpoint outside 1..{n}")
         if i >= j:
             raise EdgeOrderViolation(f"edge ({i}, {j}) violates i < j")
-        bits |= 1 << pair_index(n, i, j)
-    return bits
+        t = pair_index(n, i, j)
+        packed[t >> 3] |= 1 << (t & 7)
+    return int.from_bytes(packed, "little")
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,8 +106,8 @@ class ComputationalGraph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edge tuples in row-major (i, j) order."""
-        bits = self.bits
-        return tuple(p for t, p in enumerate(iter_pairs(self.n)) if bits >> t & 1)
+        # bin() lists the bits once; shifting the int per pair copies it each time
+        return tuple(p for p, b in zip(iter_pairs(self.n), bin(self.bits)[:1:-1]) if b == "1")
 
     @property
     def edge_count(self) -> int:
@@ -163,13 +173,20 @@ def neighbor_lists_from_bits(n: int, bits: int) -> tuple[list[list[int]], list[l
     """Decode a packed bit matrix into 0-based out-/in-neighbor lists."""
     outs: list[list[int]] = [[] for _ in range(n)]
     ins: list[list[int]] = [[] for _ in range(n)]
-    t = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if bits >> t & 1:
-                outs[i].append(j)
-                ins[j].append(i)
-            t += 1
+    # One pass over the bits as text, lowest first: shifting the int per
+    # pair would copy it each time.  Row i ends just before position end.
+    s = bin(bits)[:1:-1]
+    m = pair_count(n)
+    i, end = 0, n - 1
+    t = s.find("1", 0, m)
+    while t >= 0:
+        while t >= end:
+            i += 1
+            end += n - 1 - i
+        j = t - end + n
+        outs[i].append(j)
+        ins[j].append(i)
+        t = s.find("1", t + 1, m)
     return outs, ins
 
 

@@ -15,10 +15,10 @@ bytes, making the encoding injective.  Two backends share this encoding:
   digests grow exponentially with the round count, so a graph whose final
   digest would exceed CONCAT_MAX_BYTES raises CapabilityExceeded up front.
 
-One loop, the ``_rounds`` generator, serves traces, one-shot, batch and
-first-sighting digests.  A structure hashed twice in a row runs md5 code
-compiled for it, cached until the next structure.  md5 is CPython's ``_md5``,
-or ``hashlib.md5`` if that is missing.
+One loop, the ``_rounds`` generator, serves traces, one-shot and batch
+digests.  ``invariant_from_lists``, the enumeration's md5 path, instead runs
+md5 code compiled for each structure, cached until the next structure.  md5
+is CPython's ``_md5``, or ``hashlib.md5`` if that is missing.
 
 For md5, ``invariant_from_lists`` also keeps a table of the digests it has
 computed for the current n, keyed by (structure, colors), and drops it when n
@@ -181,10 +181,10 @@ def invariant_from_lists(
     """Invariant digest from raw 0-based neighbor lists.
 
     Hot path of enumeration.  For md5, inputs seen before at this n are
-    answered from the digest table; otherwise a call repeating the previous
-    call's (n, outs, ins) runs a kernel compiled for that structure.  Raises
-    ValueError unless n is an int, outs, ins are n lists of ints in range(n)
-    and colors are n ints >= 0.
+    answered from the digest table; otherwise a kernel compiled for (n, outs,
+    ins) runs, compiled anew whenever the structure differs from the last
+    one compiled.  Raises ValueError unless n is an int, outs, ins are n
+    lists of ints in range(n) and colors are n ints >= 0.
     """
     global _kernel, _table
     key = (n, tuple(map(tuple, outs)), tuple(map(tuple, ins)))
@@ -205,15 +205,9 @@ def invariant_from_lists(
         ckey = bytes(colors) if max(colors) < 256 else tuple(colors)
         got = known.get(ckey)
         if got is None:
-            last, kernel = _kernel
-            if key == last:
-                if kernel is None:
-                    _kernel = (key, kernel := _compile_kernel(*key))
-                got = kernel(colors)
-            else:
-                _kernel = (key, None)
-                got = _generic_invariant(n, outs, ins, colors, _md5, ({}, {}))
-            known[ckey] = got
+            if _kernel[0] != key:
+                _kernel = (key, _compile_kernel(*key))
+            got = known[ckey] = _kernel[1](colors)
         return got
     return _generic_invariant(n, outs, ins, colors, digest_function(backend), ({}, {}))
 
@@ -259,7 +253,7 @@ def graph_invariants(
     return out
 
 
-_kernel = (None, None)  # (last structure, its kernel or None); results never depend on it
+_kernel = (None, None)  # (last structure, its kernel); results never depend on it
 _table = (None, {})  # (n, {structure: {colors: digest}}); results never depend on it
 
 

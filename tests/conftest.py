@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
+from daghash import hashing
 from daghash.adversarial import counterexample_pair
 from daghash.enumeration import EnumerationConfig, enumerate_graphs
 from daghash.graphs import (
@@ -40,6 +41,13 @@ def triple_graphs():
         (1, 3, 2, 1, 3),
     )
     return left, middle, right
+
+
+@pytest.fixture(autouse=True)
+def empty_hash_caches(monkeypatch):
+    """Every test starts with no cached kernel and an empty digest table."""
+    monkeypatch.setattr(hashing, "_kernel", (None, None))
+    monkeypatch.setattr(hashing, "_table", (None, {}))
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from daghash.formats import (
     parse_summary_line,
     save_graph,
 )
-from daghash.graphs import GraphError, validate
+from daghash.graphs import MAX_VERTICES, GraphError, validate
 from daghash.hashing import digest_hex, graph_invariant
 
 
@@ -339,6 +339,22 @@ def test_concat_over_size_cap_is_capability_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "CONCAT_MAX_BYTES" in captured.err
+
+
+def test_vertex_cap_is_capability_error(tmp_path, capsys):
+    # a 200,002-vertex pair once raised MemoryError in pack_edges (exit 1)
+    assert main(["adversarial", "--degree", "2", "--size", "100000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_VERTICES" in captured.err
+    n = MAX_VERTICES + 1
+    path = tmp_path / "path.json"
+    edges = [[i, i + 1] for i in range(1, n)]
+    path.write_text(json.dumps({"n": n, "k": 1, "colors": [1] * n, "edges": edges}))
+    assert main(["hash", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_VERTICES" in captured.err
 
 
 _INTS = st.integers(-3, 10) | st.integers(-(2**70), 2**70) | st.integers(0, 10**9)

@@ -1,12 +1,15 @@
 """Graph model: packing, validation, relabeling, normalization."""
 
 import itertools
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import valid_graphs
 from daghash.graphs import (
+    MAX_VERTICES,
+    CapabilityExceeded,
     ColorOutOfRange,
     ComputationalGraph,
     CycleDetected,
@@ -19,6 +22,7 @@ from daghash.graphs import (
     apply_permutation,
     iter_pairs,
     linear_extensions,
+    neighbor_lists_from_bits,
     normalize_dag,
     pack_edges,
     pair_count,
@@ -49,6 +53,40 @@ def test_pack_edges_rejects_bad_order():
         pack_edges(3, [(3, 2)])
     with pytest.raises(EdgeOrderViolation):
         pack_edges(3, [(2, 2)])
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << pair_count(n)) - 1))
+))
+def test_decoders_agree_with_has_edge(case):
+    n, bits = case
+    g = ComputationalGraph(n, 1, bits, (1,) * n)
+    want = [(i, j) for i, j in iter_pairs(n) if g.has_edge(i, j)]
+    assert list(g.edges) == want
+    outs, ins = neighbor_lists_from_bits(n, bits)
+    assert [(i + 1, j + 1) for i in range(n) for j in outs[i]] == want
+    assert sorted((i + 1, j + 1) for j in range(n) for i in ins[j]) == want
+    assert pack_edges(n, want) == bits
+
+
+def test_long_path_converts_in_linear_time():
+    # shifting the packed int once per pair made each conversion O(n^4):
+    # 11-15 s at 1,200 vertices
+    n = 3000
+    path = [(i, i + 1) for i in range(1, n)]
+    t0 = time.perf_counter()
+    g = validate(n, 1, path, [1] * n)
+    outs, ins = neighbor_lists_from_bits(n, g.bits)
+    assert list(g.edges) == path
+    assert time.perf_counter() - t0 < 10.0
+    assert outs[0] == [1] and outs[-1] == [] and ins[-1] == [n - 2]
+
+
+def test_pack_edges_refuses_past_vertex_cap():
+    assert pack_edges(MAX_VERTICES, [(1, MAX_VERTICES)]) == 1 << (MAX_VERTICES - 2)
+    with pytest.raises(CapabilityExceeded):
+        pack_edges(MAX_VERTICES + 1, [(1, 2)])
 
 
 def test_validate_smallest_graph():

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 
 from conftest import valid_graphs
 from daghash import hashing
-from daghash.enumeration import canonical_relabeling
+from daghash.enumeration import (
+    EnumerationConfig,
+    _surviving_matrices,
+    canonical_relabeling,
+    enumerate_graphs,
+)
 from daghash.graphs import (
     CapabilityExceeded,
     ComputationalGraph,
@@ -165,9 +170,9 @@ def test_round_consistency_under_relabeling(g):
 
 
 def _twice(g):
-    # A structure's first call runs the generic loop.  With the digest table
-    # emptied before each call, the repeat misses it and runs the kernel,
-    # compiled exactly once.
+    # The first call compiles the structure's kernel.  With the digest table
+    # emptied before each call, the repeat misses it too and runs the cached
+    # kernel, so exactly one is compiled.
     outs, ins = adjacency_lists(g)
     compiled = []
     compile_kernel = hashing._compile_kernel
@@ -185,7 +190,7 @@ def _twice(g):
 
 
 def test_invariant_from_lists_matches_graph_invariant(small_corpus):
-    # generic path and compiled kernel against the one-shot generic path
+    # freshly compiled and cached kernel against the one-shot generic path
     for rec in small_corpus[:300]:
         assert _twice(rec.graph) == [rec.invariant, graph_invariant(rec.graph)]
 
@@ -200,35 +205,25 @@ def test_kernel_matches_refinement_trace(g):
 def test_kernel_cache_follows_structure(monkeypatch):
     # A, A, B, B, A, A with equal colors and the digest table emptied before
     # each call: a stale kernel would repeat B's digest
+    def never(*args):
+        raise AssertionError("the md5 path ran the generic refinement")
+
+    a = validate(4, 1, {(1, 2), (2, 3), (3, 4)}, [1] * 4)
+    b = validate(4, 1, {(1, 2), (1, 3), (2, 4), (3, 4)}, [1] * 4)
+    want = [graph_invariant(g) for g in (a, a, b, b, a, a)]
     compiled = []
     compile_kernel = hashing._compile_kernel
-    monkeypatch.setattr(hashing, "_kernel", (None, None))
     monkeypatch.setattr(
         hashing, "_compile_kernel", lambda *key: compiled.append(key) or compile_kernel(*key)
     )
-    a = validate(4, 1, {(1, 2), (2, 3), (3, 4)}, [1] * 4)
-    b = validate(4, 1, {(1, 2), (1, 3), (2, 4), (3, 4)}, [1] * 4)
+    monkeypatch.setattr(hashing, "_generic_invariant", never)
     digests = []
     for g in (a, a, b, b, a, a):
         monkeypatch.setattr(hashing, "_table", (None, {}))
         digests.append(invariant_from_lists(g.n, *adjacency_lists(g), g.colors))
-    assert digests == [graph_invariant(g) for g in (a, a, b, b, a, a)]
+    assert digests == want
     assert digests[0] != digests[2]
     assert len(compiled) == 3
-
-
-def test_structure_hashed_once_compiles_no_kernel(monkeypatch):
-    # one coloring per structure, as with --colors 1, never pays for compiling
-    def never(*args):
-        raise AssertionError("a structure hashed once compiled a kernel")
-
-    monkeypatch.setattr(hashing, "_kernel", (None, None))
-    monkeypatch.setattr(hashing, "_compile_kernel", never)
-    a = validate(4, 1, {(1, 2), (2, 3), (3, 4)}, [1] * 4)
-    b = validate(4, 1, {(1, 2), (1, 3), (2, 4), (3, 4)}, [1] * 4)
-    for g in (a, b, a, b):
-        monkeypatch.setattr(hashing, "_table", (None, {}))
-        assert invariant_from_lists(g.n, *adjacency_lists(g), g.colors) == graph_invariant(g)
 
 
 def test_one_shot_hashing_compiles_no_kernel(monkeypatch, triple):
@@ -247,8 +242,6 @@ def test_kernel_rejects_bad_neighbor_index_before_codegen(monkeypatch, bad):
 
     outs = [[1, 2], [1], []]
     ins = [[], [0], [0, 1]]
-    monkeypatch.setattr(hashing, "_kernel", (None, None))
-    monkeypatch.setattr(hashing, "_table", (None, {}))
     for colors in ([1, 2, 1], [1, 1, 1]):
         # cache the kernel and table entries of the all-int structure that
         # 1.0 and True equal
@@ -273,8 +266,6 @@ def test_colors_checked_before_table_lookup(monkeypatch, bad):
 
     g = validate(3, 1, {(1, 2), (1, 3), (2, 3)}, [1, 1, 1])
     outs, ins = adjacency_lists(g)
-    monkeypatch.setattr(hashing, "_kernel", (None, None))
-    monkeypatch.setattr(hashing, "_table", (None, {}))
     for colors in ([1, 2, 1], [1, 1, 1]):
         # the table now holds [1, 1, 1], which [1, 1.0, 1] and [1, True, 1] equal
         invariant_from_lists(3, outs, ins, colors)
@@ -306,7 +297,6 @@ def test_isomorphic_structure_answered_from_table(monkeypatch, triple):
     left = triple[0]
     want = graph_invariant(left)
     _, outs, ins, _ = canonical_relabeling(left.n, adjacency_lists(left)[0])
-    monkeypatch.setattr(hashing, "_table", (None, {}))
     for colors in itertools.product(range(1, 4), repeat=left.n):
         invariant_from_lists(left.n, outs, ins, colors)
     monkeypatch.setattr(hashing, "_kernel", (None, None))
@@ -323,19 +313,37 @@ def test_table_dropped_when_n_changes(monkeypatch):
     a = validate(4, 1, {(1, 2), (2, 3), (3, 4)}, [1] * 4)
     b = validate(5, 1, {(1, 2), (2, 3), (3, 4), (4, 5)}, [1] * 5)
     want = [graph_invariant(g) for g in (a, a, b, a)]
-    refined = []
-    generic = hashing._generic_invariant
-    monkeypatch.setattr(hashing, "_table", (None, {}))
-    monkeypatch.setattr(hashing, "_kernel", (None, None))
+    compiled = []
+    compile_kernel = hashing._compile_kernel
     monkeypatch.setattr(
-        hashing, "_generic_invariant", lambda *args: refined.append(args[0]) or generic(*args)
+        hashing, "_compile_kernel", lambda *key: compiled.append(key[0]) or compile_kernel(*key)
     )
     got = [invariant_from_lists(g.n, *adjacency_lists(g), g.colors) for g in (a, a, b, a)]
     assert got == want
-    # the second a is a table hit; b drops the n = 4 table, so the last a is
-    # refined again and the table then holds n = 4 only
-    assert refined == [4, 5, 4]
+    # the second a is a table hit; b drops the n = 4 table, so the last a
+    # misses, compiles again and the table then holds n = 4 only
+    assert compiled == [4, 5, 4]
     assert hashing._table[0] == 4 and len(hashing._table[1]) == 1
+
+
+def test_enumeration_compiles_one_kernel_per_canonical_structure(monkeypatch):
+    # a canonical structure's table misses arrive as one run, and a matrix
+    # isomorphic to an earlier one is answered from the table
+    def never(*args):
+        raise AssertionError("the md5 path ran the generic refinement")
+
+    compiled = []
+    compile_kernel = hashing._compile_kernel
+    monkeypatch.setattr(
+        hashing, "_compile_kernel", lambda *key: compiled.append(key) or compile_kernel(*key)
+    )
+    monkeypatch.setattr(hashing, "_generic_invariant", never)
+    records = list(enumerate_graphs(EnumerationConfig(5, 9, 2, True)))
+    structures = {
+        (n, outs, ins) for n in range(2, 6) for _, outs, ins, _ in _surviving_matrices(n, 9)
+    }
+    assert len(compiled) == len(structures) and set(compiled) == structures
+    assert {rec.graph.n for rec in records} == {2, 3, 4, 5}
 
 
 def test_batch_invariants_match_individual(small_corpus):
