@@ -32,12 +32,13 @@ class AdversarialPair:
     built: an exhaustive oracle search, or the differing component sizes of
     the middle layer (an isomorphism invariant, since any isomorphism of
     valid graphs fixes the input and output vertices and hence restricts to
-    the interior).
+    the interior).  digest is the md5 digest both graphs share.
     """
 
     g1: ComputationalGraph
     g2: ComputationalGraph
     certificate: str
+    digest: bytes
 
 
 def middle_component_sizes(g: ComputationalGraph) -> list[int]:
@@ -70,7 +71,8 @@ def _certified(g1: ComputationalGraph, g2: ComputationalGraph) -> AdversarialPai
     # Check both halves of the adversarial claim before handing the pair
     # out.  Digest inequality would mean the layer-symmetry argument was
     # violated by the caller, not a degenerate parameter choice.
-    if graph_invariant(g1) != graph_invariant(g2):
+    digest = graph_invariant(g1)
+    if graph_invariant(g2) != digest:
         raise RuntimeError("constructed pair does not collide; broken symmetry")
     comp1 = middle_component_sizes(g1)
     comp2 = middle_component_sizes(g2)
@@ -89,7 +91,7 @@ def _certified(g1: ComputationalGraph, g2: ComputationalGraph) -> AdversarialPai
                 "middle components agree; no certificate at this size"
             )
         cert = f"middle component sizes {comp1} vs {comp2}"
-    return AdversarialPair(g1, g2, cert)
+    return AdversarialPair(g1, g2, cert, digest)
 
 
 def _layered_pair(degree, size, color_a, color_b) -> AdversarialPair:

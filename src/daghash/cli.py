@@ -5,7 +5,7 @@ Exit codes are uniform across commands: 0 for success or a positive answer,
 construction), 2 for input errors (bad flags, unparsable or invalid graph
 files), 3 when a request exceeds a documented capability limit (the
 brute-force oracle cap, the per-n coloring count, the concat digest size,
-the vertex count of a packed matrix).
+the vertex count of a packed matrix) or runs out of memory.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def _cmd_adversarial(args) -> int:
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
-    print(f"digest: {digest_hex(graph_invariant(pair.g1))}")
-    print(f"digest: {digest_hex(graph_invariant(pair.g2))}")
+    print(f"digest: {digest_hex(pair.digest)}")
+    print(f"digest: {digest_hex(pair.digest)}")
     print(f"certificate: {pair.certificate}")
     return 0
 
@@ -178,8 +178,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except CapabilityExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (CapabilityExceeded, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
     except (GraphError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

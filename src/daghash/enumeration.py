@@ -103,15 +103,14 @@ class CanonicalRecord:
 
 @dataclass(frozen=True, slots=True)
 class EnumerationReport:
-    """Per-n class counts, their total, and the oracle-checked duplicates."""
+    """Per-n class counts and the oracle-checked duplicates."""
 
     per_n: dict[int, int]
-    total: int
     duplicates: int
 
-    def __post_init__(self):
-        if self.total != sum(self.per_n.values()):
-            raise ValueError("total does not match the per-n counts")
+    @property
+    def total(self) -> int:
+        return sum(self.per_n.values())
 
 
 class FalseMerge(Exception):
@@ -301,4 +300,4 @@ def verify_buckets(
             duplicates += 1
         else:
             raise FalseMerge(dig, rep, g)
-    return EnumerationReport(per_n, sum(per_n.values()), duplicates)
+    return EnumerationReport(per_n, duplicates)

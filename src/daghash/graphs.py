@@ -118,21 +118,6 @@ class ComputationalGraph:
             return False
         return bool(self.bits >> pair_index(self.n, i, j) & 1)
 
-    def color(self, i: int) -> int:
-        return self.colors[i - 1]
-
-    def out_neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(i + 1, self.n + 1) if self.has_edge(i, j))
-
-    def in_neighbors(self, j: int) -> tuple[int, ...]:
-        return tuple(i for i in range(1, j) if self.has_edge(i, j))
-
-    def out_degree(self, i: int) -> int:
-        return len(self.out_neighbors(i))
-
-    def in_degree(self, j: int) -> int:
-        return len(self.in_neighbors(j))
-
 
 @dataclass(frozen=True, slots=True)
 class Permutation:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CapabilityExceeded, ComputationalGraph, GraphError, Permutation
+from .graphs import CapabilityExceeded, ComputationalGraph, GraphError, Permutation, pair_index
 
 ORACLE_MAX_VERTICES = 12
 
@@ -32,11 +32,16 @@ class IsoWitness:
 
 
 def _adjacency_rows(g: ComputationalGraph) -> list[int]:
-    """Per-vertex bitmask over 0-based targets: bit j of row i means edge i+1 -> j+1."""
-    rows = [0] * g.n
-    for i, j in g.edges:
-        rows[i - 1] |= 1 << (j - 1)
-    return rows
+    """Per-vertex bitmask over 0-based targets: bit j of row i means edge i+1 -> j+1.
+
+    Vertex i's row is the run of pairs (i, i+1)..(i, n) in the packed matrix,
+    shifted so that target j lands on bit j-1.
+    """
+    n, bits = g.n, g.bits
+    return [
+        (bits >> pair_index(n, i, i + 1) & ((1 << (n - i)) - 1)) << i
+        for i in range(1, n + 1)
+    ]
 
 
 def verify_witness(g1: ComputationalGraph, g2: ComputationalGraph, p: Permutation) -> bool:
@@ -89,45 +94,31 @@ def are_isomorphic(g1: ComputationalGraph, g2: ComputationalGraph) -> IsoWitness
     sig2 = signatures(g2, rows2)
     if sorted(sig1) != sorted(sig2):
         return IsoWitness(None)
-    candidates = [
-        [w for w in range(1, n + 1) if sig2[w - 1] == sig1[v - 1]]
-        for v in range(1, n + 1)
-    ]
+    candidates = [[w for w in range(n) if sig2[w] == sig1[v]] for v in range(n)]
 
-    mapping = [0] * n
-    used = [False] * n
+    # mapping[u] is vertex u's image.  Rows hold only i < j bits, so the edge
+    # test reads 0 for a > w and the reversed-edge test reads 0 for w > a.
+    mapping: list[int] = []
 
     def extend(v: int) -> bool:
-        if v > n:
+        if v == n:
             return True
-        for w in candidates[v - 1]:
-            if used[w - 1]:
+        for w in candidates[v]:
+            if w in mapping:
                 continue
-            ok = True
-            for u in range(1, v):
-                a, b = mapping[u - 1], w
-                e1 = rows1[u - 1] >> (v - 1) & 1
-                if a < b:
-                    e2 = rows2[a - 1] >> (b - 1) & 1
-                    reversed_edge = 0
-                else:
-                    e2 = 0
-                    reversed_edge = rows2[b - 1] >> (a - 1) & 1
-                if e1 != e2 or reversed_edge:
-                    ok = False
+            for u, a in enumerate(mapping):
+                if rows1[u] >> v & 1 != rows2[a] >> w & 1 or rows2[w] >> a & 1:
                     break
-            if ok:
-                mapping[v - 1] = w
-                used[w - 1] = True
+            else:
+                mapping.append(w)
                 if extend(v + 1):
                     return True
-                used[w - 1] = False
-                mapping[v - 1] = 0
+                mapping.pop()
         return False
 
-    if not extend(1):
+    if not extend(0):
         return IsoWitness(None)
-    witness = Permutation(tuple(mapping))
+    witness = Permutation(tuple(w + 1 for w in mapping))
     if not verify_witness(g1, g2, witness):
         raise RuntimeError("internal error: search produced a witness that fails re-verification")
     return IsoWitness(witness)

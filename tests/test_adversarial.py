@@ -9,7 +9,7 @@ from daghash.adversarial import (
     counterexample_pair,
     middle_component_sizes,
 )
-from daghash.graphs import validate
+from daghash.graphs import adjacency_lists, validate
 from daghash.hashing import graph_invariant, graph_invariants, refinement_trace
 from daghash.isomorphism import are_isomorphic
 
@@ -111,10 +111,15 @@ def test_family_larger_instances(degree, size):
 def test_family_regular_degrees():
     pair = bipartite_adversarial_pair(3, 8)
     for g in (pair.g1, pair.g2):
-        for u in range(2, 10):
-            assert g.out_degree(u) == 3 and g.in_degree(u) == 1
-        for v in range(10, 18):
-            assert g.in_degree(v) == 3 and g.out_degree(v) == 1
+        outs, ins = adjacency_lists(g)
+        for v in range(g.n):
+            assert outs[v] == [w for w in range(g.n) if g.has_edge(v + 1, w + 1)]
+            assert ins[v] == [u for u in range(g.n) if g.has_edge(u + 1, v + 1)]
+        # 0-based: layer A is 1..8, layer B is 9..16
+        for u in range(1, 9):
+            assert len(outs[u]) == 3 and len(ins[u]) == 1
+        for v in range(9, 17):
+            assert len(ins[v]) == 3 and len(outs[v]) == 1
 
 
 def test_pair_is_frozen(pinned_pair):

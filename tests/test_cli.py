@@ -1,6 +1,7 @@
 """Command-line behavior: output formats and the exit-code contract."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import valid_graphs
-from daghash import enumeration, hashing
+from daghash import adversarial, cli, enumeration, hashing
 from daghash.adversarial import bipartite_adversarial_pair
 from daghash.cli import main
 from daghash.enumeration import EnumerationConfig, enumerate_graphs
@@ -332,6 +333,24 @@ def test_too_many_colorings_is_capability_error(tmp_path, command, capsys):
     assert not out.exists()
 
 
+def test_out_of_memory_is_capability_error(tmp_path, monkeypatch, capsys):
+    # two records, then the allocator gives up; no real memory is exhausted
+    def failing(config, backend="md5", workers=1):
+        records = enumerate_graphs(config, backend=backend)
+        yield next(records)
+        yield next(records)
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "enumerate_graphs", failing)
+    out = tmp_path / "records.jsonl"
+    argv = ["enumerate", "--max-vertices", "3", "--max-edges", "3", "--colors", "1"]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+    assert not out.exists()
+
+
 def test_concat_over_size_cap_is_capability_error(tmp_path, capsys):
     # the 14-vertex adversarial graph's concat digest would take about 831 GB
     path = write(tmp_path, "g1.json", bipartite_adversarial_pair(2, 6).g1)
@@ -413,6 +432,25 @@ def test_adversarial_figure2_stdout(pinned_pair, capsys):
     assert lines[1] == f"digest: {digest}"
     assert lines[2] == f"digest: {digest}"
     assert lines[3].startswith("certificate: ")
+
+
+def test_adversarial_hashes_each_graph_once(monkeypatch, capsys):
+    # the pair carries the digest _certified checked, so printing it hashes
+    # nothing more; the stdout bytes are pinned
+    calls = []
+
+    def counting(g, backend="md5"):
+        calls.append(g)
+        return graph_invariant(g, backend)
+
+    monkeypatch.setattr(adversarial, "graph_invariant", counting)
+    monkeypatch.setattr(cli, "graph_invariant", counting)
+    assert main(["adversarial", "--figure2"]) == 0
+    assert len(calls) == 2
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "8b1fc4946c39a5145952beb92f80ae5f2c3d63491cc42e81552b6e3fb902c78b"
+    )
 
 
 def test_adversarial_out_file(tmp_path, capsys):

@@ -9,7 +9,6 @@ from conftest import valid_graphs
 from daghash.enumeration import (
     CanonicalRecord,
     EnumerationConfig,
-    EnumerationReport,
     FalseMerge,
     _surviving_matrices,
     canonical_relabeling,
@@ -263,11 +262,6 @@ def test_injected_collision_is_reported(monkeypatch):
     assert exc.value.digest == bytes([3]) * 16
     assert exc.value.canonical == validate(3, 1, [(1, 2), (2, 3)], [1, 1, 1])
     assert exc.value.offender == validate(3, 1, [(1, 2), (1, 3), (2, 3)], [1, 1, 1])
-
-
-def test_report_total_is_checked():
-    with pytest.raises(ValueError):
-        EnumerationReport({2: 1}, 5, 0)
 
 
 def test_record_type_is_plain():

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 
 from conftest import valid_graphs
 from daghash.graphs import (
+    ComputationalGraph,
     GraphError,
     Permutation,
     apply_permutation,
     linear_extensions,
+    pack_edges,
     validate,
 )
 from daghash.isomorphism import (
@@ -149,9 +151,14 @@ def test_lexicographically_first_witness():
 
 
 def _naive_isomorphic(g1, g2):
-    """Definition-level oracle: try all n! bijections, no pruning."""
+    """Definition-level oracle: the first of all n! bijections, no pruning.
+
+    itertools.permutations yields mappings in lexicographic order, so the
+    mapping returned is the lexicographically first witness; None if no
+    bijection preserves colors and edges.
+    """
     if g1.n != g2.n:
-        return False
+        return None
     e1 = set(g1.edges)
     e2 = set(g2.edges)
     for mapping in itertools.permutations(range(1, g1.n + 1)):
@@ -173,17 +180,31 @@ def _naive_isomorphic(g1, g2):
             if not ok:
                 break
         if ok:
-            return True
-    return False
+            return mapping
+    return None
+
+
+def _last_relabeling(g):
+    return apply_permutation(g, list(linear_extensions(g))[-1])
 
 
 def test_pruned_oracle_agrees_with_naive_search(small_corpus):
-    """Candidate pruning must not change any verdict (n <= 4 sample)."""
-    graphs = [r.graph for r in small_corpus if r.graph.n <= 4][:40]
+    """Candidate pruning must change no verdict and no witness (n <= 5 sample)."""
     import random
 
     rng = random.Random(11)
+    graphs = rng.sample([r.graph for r in small_corpus], 60)
     pairs = [(rng.choice(graphs), rng.choice(graphs)) for _ in range(120)]
-    pairs += [(g, apply_permutation(g, list(linear_extensions(g))[-1])) for g in graphs]
+    pairs += [(g, _last_relabeling(g)) for g in graphs]
+    # raw graphs that break the path condition: several sources and sinks
+    raw = [
+        ComputationalGraph(4, 2, pack_edges(4, [(1, 3), (2, 3), (2, 4)]), (1, 2, 1, 2)),
+        ComputationalGraph(5, 1, pack_edges(5, [(1, 4), (2, 4), (3, 5)]), (1,) * 5),
+        ComputationalGraph(5, 2, pack_edges(5, [(1, 5), (2, 5), (3, 4)]), (2, 1, 1, 2, 1)),
+        ComputationalGraph(4, 1, 0, (1,) * 4),
+    ]
+    pairs += [(g, _last_relabeling(g)) for g in raw]
+    assert any(g.n == 5 for pair in pairs for g in pair)
     for g1, g2 in pairs:
-        assert are_isomorphic(g1, g2).isomorphic == _naive_isomorphic(g1, g2)
+        w = are_isomorphic(g1, g2).permutation
+        assert (None if w is None else w.mapping) == _naive_isomorphic(g1, g2)
