@@ -106,8 +106,20 @@ class ComputationalGraph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edge tuples in row-major (i, j) order."""
-        # bin() lists the bits once; shifting the int per pair copies it each time
-        return tuple(p for p, b in zip(iter_pairs(self.n), bin(self.bits)[:1:-1]) if b == "1")
+        # The walk of neighbor_lists_from_bits, 1-based: row i ends before end.
+        n = self.n
+        s = bin(self.bits)[:1:-1]
+        m = pair_count(n)
+        edges = []
+        i, end = 1, n - 1
+        t = s.find("1", 0, m)
+        while t >= 0:
+            while t >= end:
+                i += 1
+                end += n - i
+            edges.append((i, t - end + n + 1))
+            t = s.find("1", t + 1, m)
+        return tuple(edges)
 
     @property
     def edge_count(self) -> int:
@@ -239,14 +251,15 @@ def apply_permutation(g: ComputationalGraph, p: Permutation) -> ComputationalGra
     if len(mapping) != g.n:
         raise GraphError(f"permutation acts on {len(mapping)} vertices, graph has {g.n}")
     n = g.n
-    bits = 0
+    image = []
     for i, j in g.edges:
         a, b = mapping[i - 1], mapping[j - 1]
         if a >= b:
             raise NotLinearExtension(
                 f"edge ({i}, {j}) maps to ({a}, {b}), reversing the order"
             )
-        bits |= 1 << pair_index(n, a, b)
+        image.append((a, b))
+    bits = pack_edges(n, image)
     new_colors = [0] * n
     for i in range(n):
         new_colors[mapping[i] - 1] = g.colors[i]

@@ -20,6 +20,11 @@ digests.  ``invariant_from_lists``, the enumeration's md5 path, instead runs
 md5 code compiled for each structure, cached until the next structure.  md5
 is CPython's ``_md5``, or ``hashlib.md5`` if that is missing.
 
+A final concat digest is written straight from round n-1: round n's digest
+of a vertex would only join its sorted neighbor digests and its own, so the
+one-shot and batch paths sort those parts per vertex and join them once.
+The bytes are the same, and round n never sits in memory beside the result.
+
 For md5, ``invariant_from_lists`` also keeps a table of the digests it has
 computed for the current n, keyed by (structure, colors), and drops it when n
 changes.  The enumeration hands it every matrix in canonical labeling, so a
@@ -31,6 +36,7 @@ before, so reuse is exact whether or not the hash separates all classes.
 from __future__ import annotations
 
 import struct
+from itertools import islice
 from typing import Callable, Sequence
 
 from .graphs import CapabilityExceeded, ComputationalGraph, adjacency_lists
@@ -214,20 +220,35 @@ def invariant_from_lists(
 
 def _generic_invariant(n, outs, ins, colors, d, ctx):
     # ctx is (memo, final_memo): round outputs memoized on their inputs, final
-    # digests on the sorted per-vertex list.  After round 0, equal digests in
+    # concat digests on their sorted parts.  After round 0, equal digests in
     # one ctx are one object, so sorts and comparisons short-circuit on identity.
     memo, final_memo = ctx
-    *_, h = _rounds(n, outs, ins, colors, d, memo)
-    h.sort()
-    # The per-vertex digests are kept alive by the round memo for as long as
-    # the ctx exists, so their ids are stable and cheaper to key on than
-    # hashing hundreds of megabytes of content in concat mode.
-    key = (n, tuple(map(id, h)))
-    got = final_memo.get(key)
-    if got is None:
-        got = d(b"".join([_le64(n)] + h))
-        final_memo[key] = got
-    return got
+    if d is not _identity:
+        *_, h = _rounds(n, outs, ins, colors, d, memo)
+        h.sort()
+        return d(b"".join([_le64(n)] + h))
+    # concat never builds round n: its digest for vertex i would be the join of
+    # (LE64(#out), *sorted outs, LE64(#in), *sorted ins, own) over round n-1,
+    # so those part tuples are sorted and written out once.  Every concat
+    # digest of one round is self-delimiting (its counts say how many
+    # self-delimiting digests follow), so two different rows first differ in
+    # a pair of aligned parts of which neither is a prefix of the other:
+    # ordering the tuples orders the joined bytes exactly.
+    *_, h = islice(_rounds(n, outs, ins, colors, d, memo), max(n, 1))
+    rows = []
+    for i in range(n):
+        ho = sorted([h[j] for j in outs[i]])
+        hi = sorted([h[j] for j in ins[i]])
+        rows.append((_le64(len(ho)), *ho, _le64(len(hi)), *hi, h[i]))
+    rows.sort()
+    parts = [p for row in rows for p in row]
+    # Keyed on ids, which is cheaper than hashing hundreds of megabytes; the
+    # entry keeps the parts alive so no id is reused while it is cached (at
+    # n = 1 the parts are round-0 digests, which the round memo never holds).
+    key = (n, tuple(map(id, parts)))
+    if key not in final_memo:
+        final_memo[key] = (parts, b"".join([_le64(n)] + parts))
+    return final_memo[key][1]
 
 
 def graph_invariants(

@@ -83,6 +83,27 @@ def test_long_path_converts_in_linear_time():
     assert outs[0] == [1] and outs[-1] == [] and ins[-1] == [n - 2]
 
 
+def test_edges_of_long_path_in_linear_time():
+    # walking every vertex pair took about 4 s at 8,000 vertices (2-core Xeon VM)
+    n = 8000
+    path = [(i, i + 1) for i in range(1, n)]
+    g = ComputationalGraph(n, 1, pack_edges(n, path), (1,) * n)
+    t0 = time.perf_counter()
+    edges = g.edges
+    assert time.perf_counter() - t0 < 1.0
+    assert list(edges) == path
+
+
+def test_apply_permutation_on_long_path_in_linear_time():
+    # one growing-int OR per edge took 7-9 s at 8,000 vertices (2-core Xeon VM)
+    n = 8000
+    g = ComputationalGraph(n, 1, pack_edges(n, [(i, i + 1) for i in range(1, n)]), (1,) * n)
+    t0 = time.perf_counter()
+    image = apply_permutation(g, Permutation.identity(n))
+    assert time.perf_counter() - t0 < 1.0
+    assert image == g
+
+
 def test_pack_edges_refuses_past_vertex_cap():
     assert pack_edges(MAX_VERTICES, [(1, MAX_VERTICES)]) == 1 << (MAX_VERTICES - 2)
     with pytest.raises(CapabilityExceeded):
@@ -151,6 +172,10 @@ def test_apply_permutation_rejects_reversal():
     g = validate(3, 1, {(1, 2), (2, 3)}, [1, 1, 1])
     with pytest.raises(NotLinearExtension):
         apply_permutation(g, Permutation((2, 1, 3)))
+    # the first reversed edge in row-major order is the one named
+    g = validate(4, 1, {(3, 4), (2, 4), (2, 3), (1, 2)}, [1] * 4)
+    with pytest.raises(NotLinearExtension, match=r"^edge \(2, 3\) maps to \(4, 3\), reversing"):
+        apply_permutation(g, Permutation((1, 4, 3, 2)))
 
 
 def test_linear_extensions_total_orders():

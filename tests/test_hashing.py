@@ -3,9 +3,10 @@
 import hashlib
 import itertools
 import struct
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import valid_graphs
 from daghash import hashing
@@ -22,6 +23,7 @@ from daghash.graphs import (
     apply_permutation,
     linear_extensions,
     pack_edges,
+    pair_count,
     validate,
 )
 from daghash.hashing import (
@@ -351,6 +353,62 @@ def test_batch_invariants_match_individual(small_corpus):
     for backend in BACKENDS:
         individual = [graph_invariant(g, backend) for g in graphs]
         assert graph_invariants(graphs, backend) == individual
+
+
+def _concat_from_full_last_round(g):
+    return final_digest(g.n, refinement_trace(g, "concat")[-1], "concat")
+
+
+@st.composite
+def raw_graphs(draw, max_n=6):
+    """Any i < j matrix and coloring, with or without the path condition."""
+    n = draw(st.integers(0, max_n))
+    bits = draw(st.integers(0, (1 << pair_count(n)) - 1))
+    colors = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    return ComputationalGraph(n, 3, bits, colors)
+
+
+@settings(max_examples=100)
+@given(st.one_of(valid_graphs(max_n=6), raw_graphs()))
+def test_concat_final_digest_equals_full_last_round(g):
+    # the final concat digest is written from round n-1's parts; it must
+    # equal the one joined from the fully built last round
+    assert graph_invariant(g, "concat") == _concat_from_full_last_round(g)
+
+
+def test_concat_final_digest_on_one_and_two_vertices():
+    graphs = [ComputationalGraph(1, 3, 0, (c,)) for c in (1, 2, 3)] + [
+        ComputationalGraph(2, 2, bits, colors)
+        for bits in (0, 1)
+        for colors in itertools.product((1, 2), repeat=2)
+    ]
+    for g in graphs:
+        assert graph_invariant(g, "concat") == _concat_from_full_last_round(g)
+
+
+def test_concat_batch_matches_one_by_one(triple):
+    # the batch's final memo is keyed on object ids: one-vertex graphs of
+    # different colors, repeats and isomorphic graphs must not share an entry
+    # unless their digests are equal
+    singles = [ComputationalGraph(1, 3, 0, (c,)) for c in (1, 2, 3)]
+    twos = [ComputationalGraph(2, 2, bits, (1, 2)) for bits in (0, 1)]
+    raw = ComputationalGraph(4, 2, pack_edges(4, [(1, 3), (2, 4)]), (1, 2, 2, 1))
+    batch = [singles[0], *triple, singles[1], *twos, raw, singles[0], singles[2],
+             *reversed(triple), raw, *twos, singles[1]]
+    assert graph_invariants(batch, "concat") == [graph_invariant(g, "concat") for g in batch]
+
+
+def test_concat_pair_peak_memory(pinned_pair):
+    # the final digest is written from round n-1, so the last round's
+    # per-vertex digests never exist beside it: about 1.13x, 1.56x before
+    tracemalloc.start()
+    try:
+        c1, c2 = graph_invariants([pinned_pair.g1, pinned_pair.g2], "concat")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c1 is c2
+    assert peak < 1.25 * len(c1)
 
 
 def test_large_color_values_hash():

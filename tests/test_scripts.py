@@ -1,0 +1,30 @@
+"""Smoke tests: the scripts in scripts/ run against the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_collision_analysis_shows_pinned_collision():
+    done = run_script("scripts/collision_analysis.py")
+    assert done.returncode == 0, done.stderr
+    pinned = done.stdout.split("\n\n")[0].splitlines()
+    assert pinned[0].startswith("== pinned pair: n=10")
+    assert "equal: True" in pinned
+
+
+def test_run_search_space_help():
+    done = run_script("scripts/run_search_space.py", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: run_search_space.py")
