@@ -19,13 +19,14 @@ of different sizes cannot merge; the global set simply mirrors the loop
 structure of the generation procedure.
 
 Each surviving matrix is hashed in its canonical labeling: the linear
-extension with the least packed bits.  Isomorphic i < j DAGs have the same
-set of i < j relabelings, so they share one canonical matrix, and
-every coloring of a matrix isomorphic to an earlier one reaches the hash as
-inputs already seen, which the hashing layer's per-n table answers without
-refining.  The relabeling only changes what is hashed, and the hash is an
-isomorphism invariant, so every digest, record and output byte is what
-hashing the original labeling gives.
+extension with the least packed bits, found by a search that visits only
+linear extensions.  Isomorphic i < j DAGs have the same set of i < j
+relabelings, so they share one canonical matrix, and every coloring of a
+matrix isomorphic to an earlier one reaches the hash as inputs already seen,
+which the hashing layer's per-n table answers without refining.  The
+relabeling only changes what is hashed, and the hash is an isomorphism
+invariant, so every digest, record and output byte is what hashing the
+original labeling gives.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from typing import Iterator
 from .graphs import (
     CapabilityExceeded,
     ComputationalGraph,
+    _extensions,
     neighbor_lists_from_bits,
     pair_count,
     pair_index,
@@ -132,12 +134,6 @@ class FalseMerge(Exception):
 
 
 @functools.cache
-def _interior_orders(n):
-    # Every position map fixing vertex 0 and vertex n-1, identity first.
-    return [(0, *p, n - 1) for p in itertools.permutations(range(1, n - 1))]
-
-
-@functools.cache
 def _pair_bits(n):
     # _pair_bits(n)[a][b] is the packed bit of the 0-based pair a < b.
     return [
@@ -149,37 +145,29 @@ def _pair_bits(n):
 def canonical_relabeling(n: int, outs):
     """The linear extension giving the least packed bits, applied to outs.
 
-    For n >= 2 graphs meeting the path condition: vertex 1 is then the only
-    source and vertex n the only sink, so every linear extension fixes both
-    and only interior orders are searched.  Returns (bits, outs, ins, order):
-    the least bits, the relabeled 0-based neighbor lists (sorted tuples), and
-    order[v], the original vertex placed at position v.
+    Searches the linear extensions of the DAG with 0-based out-neighbor
+    lists outs (each edge i -> j has i < j) in lexicographic order; the
+    first least one wins.  Returns (bits, outs, ins, order): the least bits,
+    the relabeled neighbor lists (sorted tuples), and order[v], the original
+    vertex placed at position v.
     """
     edges = [(i, j) for i in range(n) for j in outs[i]]
+    ins = [[] for _ in range(n)]
+    for i, j in edges:
+        ins[j].append(i)
     pair_bits = _pair_bits(n)
     best = None
-    for p in _interior_orders(n):
+    for p in _extensions(n, outs, ins):
         bits = 0
         for i, j in edges:
-            a, b = p[i], p[j]
-            if a > b:
-                break
-            bits |= pair_bits[a][b]
-        else:
-            if best is None or bits < best:
-                best, best_p = bits, p
-    new_outs = [[] for _ in range(n)]
-    new_ins = [[] for _ in range(n)]
-    for i, j in edges:
-        new_outs[best_p[i]].append(best_p[j])
-        new_ins[best_p[j]].append(best_p[i])
-    order = [0] * n
-    for i, v in enumerate(best_p):
-        order[v] = i
+            bits |= pair_bits[p[i]][p[j]]
+        if best is None or bits < best:
+            best, best_p = bits, p
+    order = sorted(range(n), key=best_p.__getitem__)
     return (
         best,
-        tuple(tuple(sorted(x)) for x in new_outs),
-        tuple(tuple(sorted(x)) for x in new_ins),
+        tuple(tuple(sorted([best_p[j] for j in outs[i]])) for i in order),
+        tuple(tuple(sorted([best_p[j] for j in ins[i]])) for i in order),
         tuple(order),
     )
 

@@ -77,12 +77,6 @@ def load_graph(path, normalize: bool = False) -> ComputationalGraph:
     return graph_from_dict(obj, normalize=normalize)
 
 
-def save_graph(g: ComputationalGraph, path) -> None:
-    """Write one graph as a JSON file (newline terminated)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(graph_to_dict(g)) + "\n")
-
-
 def record_line(digest: Digest, g: ComputationalGraph) -> str:
     """One enumeration record as a JSON line (no trailing newline)."""
     return json.dumps(
@@ -95,19 +89,7 @@ def record_line(digest: Digest, g: ComputationalGraph) -> str:
     )
 
 
-def parse_record_line(line: str) -> tuple[Digest, dict]:
-    """Digest bytes and the raw object of one record line."""
-    obj = json.loads(line)
-    return bytes.fromhex(obj["hash"]), obj
-
-
 def summary_line(per_n: Mapping[int, int]) -> str:
     """The final summary object as a JSON line (no trailing newline)."""
     ordered = {str(n): per_n[n] for n in sorted(per_n)}
     return json.dumps({"per_n": ordered, "total": sum(per_n.values())})
-
-
-def parse_summary_line(line: str) -> tuple[dict[int, int], int]:
-    """per-n counts (int keys) and total from a summary line."""
-    obj = json.loads(line)
-    return {int(n): c for n, c in obj["per_n"].items()}, obj["total"]

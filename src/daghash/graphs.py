@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -57,13 +56,6 @@ def pair_count(n: int) -> int:
 def pair_index(n: int, i: int, j: int) -> int:
     """Row-major position of the pair (i, j), 1 <= i < j <= n."""
     return (i - 1) * (2 * n - i) // 2 + (j - i - 1)
-
-
-def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """All pairs (i, j), i < j, in row-major order."""
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            yield i, j
 
 
 # Largest vertex count a packed matrix may have: 2^14 vertices need 16 MiB.
@@ -144,21 +136,8 @@ class Permutation:
         if sorted(mapping) != list(range(1, n + 1)):
             raise GraphError(f"{mapping} is not a bijection on 1..{n}")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for i, image in enumerate(self.mapping, start=1):
-            inv[image - 1] = i
-        return Permutation(tuple(inv))
-
     def __call__(self, i: int) -> int:
         return self.mapping[i - 1]
-
-    def __len__(self) -> int:
-        return len(self.mapping)
 
 
 def adjacency_lists(g: ComputationalGraph) -> tuple[list[list[int]], list[list[int]]]:
@@ -266,14 +245,63 @@ def apply_permutation(g: ComputationalGraph, p: Permutation) -> ComputationalGra
     return ComputationalGraph(n, g.k, bits, tuple(new_colors))
 
 
+def _extensions(n: int, outs, ins) -> Iterator[tuple[int, ...]]:
+    """Every linear extension of the DAG with 0-based neighbor lists outs and
+    ins (each edge u -> w has u < w), as the position map p (p[v] is v's
+    position), in lexicographic order of p.
+
+    Vertices are placed in index order above their predecessors, and kept
+    iff the rest can follow: by Hall's theorem, iff for each occupied r,
+    the vertices placed at r or higher have no more unplaced descendants
+    than there are free positions above r.  Placing v at q changes this
+    only for r in (v's lower bound, q], and the q that pass are a prefix
+    of v's candidates.  Iterative, so the depth does not grow with n.
+    """
+    desc = [0] * n  # desc[v]: bitmask of v's descendants
+    for v in reversed(range(n)):
+        for w in outs[v]:
+            desc[v] |= 1 << w | desc[w]
+    p = [-1] * n  # p[v] = -1: v is not placed
+    at = [0] * n  # at[r]: the vertex placed at position r
+    low = [0] * n  # low[v]: the highest position of v's predecessors
+    free = full = (1 << n) - 1
+    v = 0
+    while v >= 0:
+        if v == n:
+            yield tuple(p)
+            v -= 1
+            continue
+        q = p[v]
+        if q < 0:
+            q = low[v] = max([p[u] for u in ins[v]], default=-1)
+        else:
+            free |= 1 << q
+        rest = free >> q + 1
+        if rest:
+            q += (rest & -rest).bit_length()
+            at[q] = v
+            free ^= 1 << q
+            lo, reach = low[v], 0
+            taken = (full ^ free) >> lo + 1
+            while taken:  # occupied positions r > lo, highest first
+                r = taken.bit_length() + lo
+                taken ^= 1 << r - lo - 1
+                reach |= desc[at[r]]
+                if r <= q and (reach >> v + 1).bit_count() > (free >> r + 1).bit_count():
+                    break
+            else:
+                p[v] = q
+                v += 1
+                continue
+            free ^= 1 << q
+        p[v] = -1
+        v -= 1
+
+
 def linear_extensions(g: ComputationalGraph) -> Iterator[Permutation]:
-    """Every relabeling that keeps all edges order-preserving, in
-    lexicographic order of the mapping.  Brute force over all n!
-    permutations; intended for small test graphs."""
-    edges = g.edges
-    for mapping in permutations(range(1, g.n + 1)):
-        if all(mapping[i - 1] < mapping[j - 1] for i, j in edges):
-            yield Permutation(mapping)
+    """Every order-preserving relabeling, in lexicographic order of mapping."""
+    for p in _extensions(g.n, *adjacency_lists(g)):
+        yield Permutation(tuple(v + 1 for v in p))
 
 
 def normalize_dag(

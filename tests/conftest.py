@@ -1,6 +1,8 @@
-"""Shared fixtures: pinned graphs, the property-test corpus, strategies."""
+"""Shared fixtures and test-only helpers: pinned graphs, the property-test
+corpus, strategies, and reference helpers the package does not export."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import strategies as st
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 from daghash import hashing
 from daghash.adversarial import counterexample_pair
 from daghash.enumeration import EnumerationConfig, enumerate_graphs
+from daghash.formats import graph_to_dict
 from daghash.graphs import (
     ComputationalGraph,
     GraphError,
-    iter_pairs,
+    Permutation,
     neighbor_lists_from_bits,
     pack_edges,
     pair_count,
@@ -19,6 +22,51 @@ from daghash.graphs import (
     validate,
 )
 from daghash.isomorphism import are_isomorphic
+
+
+def iter_pairs(n):
+    """All pairs (i, j), i < j, in row-major order."""
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            yield i, j
+
+
+def identity_permutation(n):
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def inverse_permutation(p):
+    inv = [0] * len(p.mapping)
+    for i, image in enumerate(p.mapping, start=1):
+        inv[image - 1] = i
+    return Permutation(tuple(inv))
+
+
+def brute_linear_extensions(g):
+    """The reference linear_extensions: every one of the n! permutations
+    that keeps all edges order-preserving, in lexicographic order."""
+    edges = g.edges
+    for mapping in itertools.permutations(range(1, g.n + 1)):
+        if all(mapping[i - 1] < mapping[j - 1] for i, j in edges):
+            yield Permutation(mapping)
+
+
+def save_graph(g, path):
+    """Write one graph as a JSON file (newline terminated)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(graph_to_dict(g)) + "\n")
+
+
+def parse_record_line(line):
+    """Digest bytes and the raw object of one record line."""
+    obj = json.loads(line)
+    return bytes.fromhex(obj["hash"]), obj
+
+
+def parse_summary_line(line):
+    """per-n counts (int keys) and total from a summary line."""
+    obj = json.loads(line)
+    return {int(n): c for n, c in obj["per_n"].items()}, obj["total"]
 
 
 def triple_graphs():

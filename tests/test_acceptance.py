@@ -11,9 +11,9 @@ from contextlib import contextmanager
 
 import pytest
 
+from conftest import parse_summary_line
 from daghash.cli import main as cli_main
 from daghash.enumeration import EnumerationConfig, enumerate_graphs
-from daghash.formats import parse_summary_line
 from daghash.graphs import apply_permutation, linear_extensions
 from daghash.hashing import graph_invariant, graph_invariants, refinement_trace
 from daghash.isomorphism import are_isomorphic, verify_witness

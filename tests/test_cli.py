@@ -10,18 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import valid_graphs
+from conftest import parse_record_line, parse_summary_line, save_graph, valid_graphs
 from daghash import adversarial, cli, enumeration, hashing
 from daghash.adversarial import bipartite_adversarial_pair
 from daghash.cli import main
 from daghash.enumeration import EnumerationConfig, enumerate_graphs
-from daghash.formats import (
-    graph_from_dict,
-    graph_to_dict,
-    parse_record_line,
-    parse_summary_line,
-    save_graph,
-)
+from daghash.formats import graph_from_dict, graph_to_dict
 from daghash.graphs import MAX_VERTICES, GraphError, validate
 from daghash.hashing import digest_hex, graph_invariant
 

@@ -5,7 +5,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import valid_graphs
+from conftest import (
+    brute_linear_extensions,
+    inverse_permutation,
+    iter_pairs,
+    valid_graphs,
+)
 from daghash.enumeration import (
     CanonicalRecord,
     EnumerationConfig,
@@ -22,7 +27,6 @@ from daghash.graphs import (
     Permutation,
     adjacency_lists,
     apply_permutation,
-    iter_pairs,
     linear_extensions,
     neighbor_lists_from_bits,
     pack_edges,
@@ -178,6 +182,25 @@ def test_canonical_relabeling_is_shared_by_linear_extensions(g):
         assert canon.bits == bits
         assert canon.colors == tuple(gp.colors[v] for v in order)
         assert graph_invariant(canon) == graph_invariant(g)
+
+
+def test_canonical_relabeling_matches_brute_force():
+    """The first least-bits linear extension of the brute-force reference,
+    on every path-condition matrix with n <= 6 and at most 9 edges."""
+    for n in range(2, 7):
+        for bits, *_ in _surviving_matrices(n, 9):
+            g = ComputationalGraph(n, 1, bits, (1,) * n)
+            least = None
+            for p in brute_linear_extensions(g):
+                image = apply_permutation(g, p).bits
+                if least is None or image < least:
+                    least, best = image, p
+            want = neighbor_lists_from_bits(n, least)
+            assert canonical_relabeling(n, adjacency_lists(g)[0]) == (
+                least,
+                *(tuple(map(tuple, x)) for x in want),
+                tuple(v - 1 for v in inverse_permutation(best).mapping),
+            )
 
 
 def test_surviving_matrices_relabel_colorings_consistently():

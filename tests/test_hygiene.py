@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name is used where it is imported."""
+"""Source hygiene: every imported name is used where it is imported, and
+every public function of the package is part of its API."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,59 @@ def test_no_unused_imports():
         for name in unused_imports(p.read_text(encoding="utf-8"))
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+# The public API is what the package exports plus what the package, the
+# scripts and the benchmark read; helpers only tests call live in conftest.
+API_READERS = [
+    p for d in ("src/daghash", "scripts", "perfbench") for p in sorted((ROOT / d).glob("*.py"))
+]
+
+
+def names_read(source: str) -> set[str]:
+    """Names Name and Attribute nodes read, except a function's own name
+    inside its module-level def."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        own = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+        found.discard(own)
+    return found
+
+
+def unlisted_functions(modules: dict[str, str], exported: set[str], readers: list[str]) -> list[str]:
+    """Public module-level functions that exported lacks and no reader reads."""
+    read = set().union(*map(names_read, readers))
+    return [
+        f"{name}.{stmt.name}"
+        for name, source in modules.items()
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, ast.FunctionDef)
+        and not stmt.name.startswith("_")
+        and stmt.name not in exported | read
+    ]
+
+
+def test_unlisted_functions_detected():
+    module = "def f():\n    f()\ndef g(): pass\ndef h(): pass\ndef _p(): pass\n"
+    user = "import m\nm.g()\n"
+    assert unlisted_functions({"m": module}, {"h"}, [module, user]) == ["m.f"]
+
+
+def test_public_functions_are_api():
+    init = ast.parse((ROOT / "src/daghash/__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        a.asname or a.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    package = sorted((ROOT / "src/daghash").glob("*.py"))
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in package}
+    readers = [p.read_text(encoding="utf-8") for p in API_READERS]
+    found = unlisted_functions(modules, exported, readers)
+    assert not found, "public functions outside the API:\n" + "\n".join(found)
