@@ -142,19 +142,16 @@ def _pair_bits(n):
     ]
 
 
-def canonical_relabeling(n: int, outs):
-    """The linear extension giving the least packed bits, applied to outs.
+def canonical_relabeling(n: int, outs, ins):
+    """The linear extension giving the least packed bits, applied to the lists.
 
-    Searches the linear extensions of the DAG with 0-based out-neighbor
-    lists outs (each edge i -> j has i < j) in lexicographic order; the
-    first least one wins.  Returns (bits, outs, ins, order): the least bits,
-    the relabeled neighbor lists (sorted tuples), and order[v], the original
-    vertex placed at position v.
+    Searches the linear extensions of the DAG with 0-based out- and
+    in-neighbor lists outs and ins (each edge i -> j has i < j) in
+    lexicographic order; the first least one wins.  Returns (bits, outs,
+    ins, order): the least bits, the relabeled neighbor lists (sorted
+    tuples), and order[v], the original vertex placed at position v.
     """
     edges = [(i, j) for i in range(n) for j in outs[i]]
-    ins = [[] for _ in range(n)]
-    for i, j in edges:
-        ins[j].append(i)
     pair_bits = _pair_bits(n)
     best = None
     for p in _extensions(n, outs, ins):
@@ -186,7 +183,7 @@ def _surviving_matrices(n: int, e_max: int):
             continue
         outs, ins = neighbor_lists_from_bits(n, bits)
         if span_mask(n, outs, ins) == full:
-            _, outs, ins, order = canonical_relabeling(n, outs)
+            _, outs, ins, order = canonical_relabeling(n, outs, ins)
             yield bits, outs, ins, operator.itemgetter(*order)
 
 

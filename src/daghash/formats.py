@@ -10,6 +10,7 @@ equal inputs produce byte-equal text.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Mapping
 
@@ -77,16 +78,15 @@ def load_graph(path, normalize: bool = False) -> ComputationalGraph:
     return graph_from_dict(obj, normalize=normalize)
 
 
+@functools.lru_cache(maxsize=1)
+def _edges_text(n: int, bits: int) -> str:
+    return json.dumps(ComputationalGraph(n, 0, bits, ()).edges)
+
+
 def record_line(digest: Digest, g: ComputationalGraph) -> str:
-    """One enumeration record as a JSON line (no trailing newline)."""
-    return json.dumps(
-        {
-            "hash": digest.hex(),
-            "n": g.n,
-            "colors": list(g.colors),
-            "edges": [list(e) for e in g.edges],
-        }
-    )
+    """A record's JSON line, as json.dumps writes it (no newline); edges cached per (n, bits)."""
+    head = f'{{"hash": "{digest.hex()}", "n": {g.n}, "colors": {json.dumps(g.colors)}'
+    return f'{head}, "edges": {_edges_text(g.n, g.bits)}}}'
 
 
 def summary_line(per_n: Mapping[int, int]) -> str:

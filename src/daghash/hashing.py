@@ -17,8 +17,8 @@ bytes, making the encoding injective.  Two backends share this encoding:
 
 One loop, the ``_rounds`` generator, serves traces, one-shot and batch
 digests.  ``invariant_from_lists``, the enumeration's md5 path, instead runs
-md5 code compiled for each structure, cached until the next structure.  md5
-is CPython's ``_md5``, or ``hashlib.md5`` if that is missing.
+md5 code compiled per structure and cached until the next; it reads round 0
+from per-vertex tables by color.  md5 is CPython's ``_md5`` or ``hashlib.md5``.
 
 A final concat digest is written straight from round n-1: round n's digest
 of a vertex would only join its sorted neighbor digests and its own, so the
@@ -31,6 +31,8 @@ changes.  The enumeration hands it every matrix in canonical labeling, so a
 matrix isomorphic to an earlier one repeats that one's inputs exactly and is
 answered from the table.  The table returns what the same inputs computed
 before, so reuse is exact whether or not the hash separates all classes.
+A call with the last call's neighbor lists, if they are tuples of tuples of
+ints (which nothing can change), skips their check, key and table lookup.
 """
 
 from __future__ import annotations
@@ -193,29 +195,38 @@ def invariant_from_lists(
     lists of ints in range(n) and colors are n ints >= 0.
     """
     global _kernel, _table
-    key = (n, tuple(map(tuple, outs)), tuple(map(tuple, ins)))
-    if type(n) is not int or len(key[1]) != n or len(key[2]) != n or len(colors) != n:
+    if type(n) is not int or len(outs) != n or len(ins) != n or len(colors) != n:
         raise ValueError(f"expected {n} out- and {n} in-neighbor lists and {n} colors")
+    for c in colors:
+        if type(c) is not int or c < 0:
+            raise ValueError(f"color {c!r} is not an int >= 0")
+    k = _kernel
+    if outs is not k[2] or ins is not k[3] or backend != "md5":
+        key = _structure_key(n, outs, ins)
+        if backend != "md5" or not n:
+            return _generic_invariant(n, outs, ins, colors, digest_function(backend), ({}, {}))
+        if _table[0] != n:
+            _table = (n, {})
+        known = _table[1].setdefault(key, {})
+        frozen_outs = outs if all(type(t) is tuple for t in (outs, ins, *outs, *ins)) else None
+        k = _kernel = (key, k[1] if k[0] == key else None, frozen_outs, ins, known)
+    # bytes keys are smaller than tuples; colors are checked ints >= 0
+    ckey = bytes(colors) if max(colors) < 256 else tuple(colors)
+    got = k[4].get(ckey)
+    if got is None:
+        if k[1] is None:
+            k = _kernel = (k[0], _compile_kernel(*k[0]), *k[2:])
+        got = k[4][ckey] = k[1](colors)
+    return got
+
+
+def _structure_key(n, outs, ins):
+    key = (n, tuple(map(tuple, outs)), tuple(map(tuple, ins)))
     for nbrs in key[1] + key[2]:
         for j in nbrs:
             if type(j) is not int or not 0 <= j < n:
                 raise ValueError(f"neighbor index {j!r} is not an int in range({n})")
-    for c in colors:
-        if type(c) is not int or c < 0:
-            raise ValueError(f"color {c!r} is not an int >= 0")
-    if backend == "md5" and n:
-        if _table[0] != n:
-            _table = (n, {})
-        known = _table[1].setdefault(key, {})
-        # bytes keys are smaller than tuples; colors are checked ints >= 0
-        ckey = bytes(colors) if max(colors) < 256 else tuple(colors)
-        got = known.get(ckey)
-        if got is None:
-            if _kernel[0] != key:
-                _kernel = (key, _compile_kernel(*key))
-            got = known[ckey] = _kernel[1](colors)
-        return got
-    return _generic_invariant(n, outs, ins, colors, digest_function(backend), ({}, {}))
+    return key
 
 
 def _generic_invariant(n, outs, ins, colors, d, ctx):
@@ -274,8 +285,17 @@ def graph_invariants(
     return out
 
 
-_kernel = (None, None)  # (last structure, its kernel); results never depend on it
+_kernel = (None,) * 5  # (structure, kernel, outs, ins, table dict); results never depend on it
 _table = (None, {})  # (n, {structure: {colors: digest}}); results never depend on it
+
+
+class _Round0(dict):
+    # One vertex's round-0 digests by color, each computed on first use.
+    def __init__(self, prefix):
+        self.prefix = prefix
+
+    def __missing__(self, c):
+        return self.setdefault(c, _md5_new(self.prefix + _le64(c)).digest())
 
 
 def _compile_kernel(n, outs, ins):
@@ -283,15 +303,18 @@ def _compile_kernel(n, outs, ins):
     # one tuple assignment, so every update reads the pre-round digests.
     def group(js):
         hs = ", ".join(f"h{j}" for j in js)
+        if len(js) == 2:
+            return "*((h{0}, h{1}) if h{0} < h{1} else (h{1}, h{0})), ".format(*js)
         return f"*sorted(({hs})), " if len(js) > 1 else f"{hs}, " if js else ""
 
     hs = "".join(f"h{i}, " for i in range(n))
     pre = [(_le64(len(outs[i])), _le64(len(ins[i]))) for i in range(n)]
     src = "def kernel(colors):\n" + "".join(
-        f"    h{i} = md5({o + d!r} + le64(colors[{i}])).digest()\n" for i, (o, d) in enumerate(pre)
+        f"    h{i} = r{i}[colors[{i}]]\n" for i in range(n)
     ) + f"    for _ in range({n}):\n        {hs}= " + "".join(
         f"md5(join(({o!r}, {group(outs[i])}{d!r}, {group(ins[i])}h{i}))).digest(), "
         for i, (o, d) in enumerate(pre)
     ) + f"\n    return md5({_le64(n)!r} + join(sorted(({hs})))).digest()\n"
-    exec(src, ns := {"md5": _md5_new, "join": b"".join, "le64": _le64})
+    tables = {f"r{i}": _Round0(o + d) for i, (o, d) in enumerate(pre)}
+    exec(src, ns := {"md5": _md5_new, "join": b"".join, **tables})
     return ns["kernel"]

@@ -94,7 +94,7 @@ def triple_graphs():
 @pytest.fixture(autouse=True)
 def empty_hash_caches(monkeypatch):
     """Every test starts with no cached kernel and an empty digest table."""
-    monkeypatch.setattr(hashing, "_kernel", (None, None))
+    monkeypatch.setattr(hashing, "_kernel", (None,) * 5)
     monkeypatch.setattr(hashing, "_table", (None, {}))
 
 

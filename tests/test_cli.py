@@ -15,8 +15,8 @@ from daghash import adversarial, cli, enumeration, hashing
 from daghash.adversarial import bipartite_adversarial_pair
 from daghash.cli import main
 from daghash.enumeration import EnumerationConfig, enumerate_graphs
-from daghash.formats import graph_from_dict, graph_to_dict
-from daghash.graphs import MAX_VERTICES, GraphError, validate
+from daghash.formats import graph_from_dict, graph_to_dict, record_line
+from daghash.graphs import MAX_VERTICES, ComputationalGraph, GraphError, validate
 from daghash.hashing import digest_hex, graph_invariant
 
 
@@ -288,6 +288,36 @@ def test_verify_readme_example(capsys):
     assert main(["verify", *argv]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "all buckets pure (832 duplicate members verified)"
+
+
+def test_enumerate_readme_example(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("$ daghash enumerate --max-vertices 3 --max-edges 3 --colors 1\n")[1]
+    assert main(["enumerate", "--max-vertices", "3", "--max-edges", "3", "--colors", "1"]) == 0
+    assert capsys.readouterr().out == block[: block.index("```")]
+
+
+@st.composite
+def records(draw):
+    g = draw(valid_graphs(max_n=12))
+    colors = draw(st.lists(st.integers(1, 300), min_size=g.n, max_size=g.n))
+    digest = draw(st.binary(min_size=16, max_size=16))
+    return digest, ComputationalGraph(g.n, 300, g.bits, tuple(colors))
+
+
+@settings(max_examples=100)
+@given(records(), records())
+def test_record_line_matches_json_dumps(a, b):
+    # A, B, A: the cached edges text of one graph must never leak into another
+    for digest, g in (a, b, a):
+        assert record_line(digest, g) == json.dumps(
+            {
+                "hash": digest.hex(),
+                "n": g.n,
+                "colors": list(g.colors),
+                "edges": [list(e) for e in g.edges],
+            }
+        )
 
 
 def test_verify_false_merge_is_negative_answer(monkeypatch, capsys):

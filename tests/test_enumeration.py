@@ -172,7 +172,7 @@ def test_canonical_relabeling_is_shared_by_linear_extensions(g):
     relabelings = [apply_permutation(g, p) for p in linear_extensions(g)]
     least = min(gp.bits for gp in relabelings)
     for gp in relabelings:
-        bits, outs, ins, order = canonical_relabeling(gp.n, adjacency_lists(gp)[0])
+        bits, outs, ins, order = canonical_relabeling(gp.n, *adjacency_lists(gp))
         assert bits == least
         want = neighbor_lists_from_bits(g.n, bits)
         assert (outs, ins) == tuple(tuple(map(tuple, x)) for x in want)
@@ -196,7 +196,7 @@ def test_canonical_relabeling_matches_brute_force():
                 if least is None or image < least:
                     least, best = image, p
             want = neighbor_lists_from_bits(n, least)
-            assert canonical_relabeling(n, adjacency_lists(g)[0]) == (
+            assert canonical_relabeling(n, *adjacency_lists(g)) == (
                 least,
                 *(tuple(map(tuple, x)) for x in want),
                 tuple(v - 1 for v in inverse_permutation(best).mapping),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import valid_graphs
-from daghash import hashing
+from daghash import enumeration, hashing
 from daghash.enumeration import (
     EnumerationConfig,
     _surviving_matrices,
@@ -179,7 +179,7 @@ def _twice(g):
     compiled = []
     compile_kernel = hashing._compile_kernel
     hashing._compile_kernel = lambda *key: compiled.append(key) or compile_kernel(*key)
-    hashing._kernel = (None, None)
+    hashing._kernel = (None,) * 5
     try:
         digests = []
         for _ in range(2):
@@ -244,11 +244,16 @@ def test_kernel_rejects_bad_neighbor_index_before_codegen(monkeypatch, bad):
 
     outs = [[1, 2], [1], []]
     ins = [[], [0], [0, 1]]
+    compiled = []
+    compile_kernel = hashing._compile_kernel
+    monkeypatch.setattr(
+        hashing, "_compile_kernel", lambda *key: compiled.append(key) or compile_kernel(*key)
+    )
     for colors in ([1, 2, 1], [1, 1, 1]):
         # cache the kernel and table entries of the all-int structure that
         # 1.0 and True equal
         invariant_from_lists(3, outs, ins, colors)
-    assert hashing._kernel[1] is not None
+    assert compiled == [(3, ((1, 2), (1,), ()), ((), (0,), (0, 1)))]
     monkeypatch.setattr(hashing, "_compile_kernel", never)
     outs[1] = [bad]
     for backend in BACKENDS:
@@ -259,6 +264,80 @@ def test_kernel_rejects_bad_neighbor_index_before_codegen(monkeypatch, bad):
                 invariant_from_lists(3, ins, outs, [1, 1, 1], backend)
     with pytest.raises(ValueError):
         invariant_from_lists(3, outs[:2], ins, [1, 1, 1])
+
+
+def test_fast_path_still_checks_n():
+    # the same tuple objects skip the structure check, but never the check
+    # of n: True equals 1 and a wrong n must not reuse the checked structure
+    one = ((),)
+    three_outs, three_ins = ((1, 2), (2,), ()), ((), (0,), (0, 1))
+    invariant_from_lists(1, one, one, [1])
+    for n in (True, 1.0, 0, 2):
+        with pytest.raises(ValueError):
+            invariant_from_lists(n, one, one, [1] * int(n))
+    invariant_from_lists(3, three_outs, three_ins, [1, 1, 1])
+    for n in (True, 2, 4):
+        with pytest.raises(ValueError):
+            invariant_from_lists(n, three_outs, three_ins, [1] * int(n))
+    g = validate(3, 1, {(1, 2), (1, 3), (2, 3)}, [1, 1, 1])
+    assert invariant_from_lists(3, three_outs, three_ins, [1, 1, 1]) == graph_invariant(g)
+
+
+@pytest.mark.parametrize("wrap", [list, tuple])
+def test_mutable_structure_rechecked_on_every_call(wrap):
+    # lists, even inside a tuple, may change between calls with the same
+    # objects, so they never take the fast path
+    outs = wrap([[1, 2], [2], []])
+    ins = wrap([[], [0], [0, 1]])
+    g = validate(3, 1, {(1, 2), (1, 3), (2, 3)}, [1, 1, 1])
+    assert invariant_from_lists(3, outs, ins, [1, 1, 1]) == graph_invariant(g)
+    outs[1].append(3)
+    for colors in ([1, 1, 1], [1, 2, 1]):
+        with pytest.raises(ValueError):
+            invariant_from_lists(3, outs, ins, colors)
+    outs[1][1:] = [1.0]
+    with pytest.raises(ValueError):
+        invariant_from_lists(3, outs, ins, [1, 1, 1])
+
+
+def test_structure_checked_once_per_matrix(monkeypatch):
+    # every coloring of a matrix reuses the check of its canonical lists
+    checked = []
+    structure_key = hashing._structure_key
+    monkeypatch.setattr(
+        hashing, "_structure_key", lambda *args: checked.append(structure_key(*args)) or checked[-1]
+    )
+    calls = []
+    invariant = enumeration.invariant_from_lists
+    monkeypatch.setattr(
+        enumeration, "invariant_from_lists", lambda *args: calls.append(1) or invariant(*args)
+    )
+    config = EnumerationConfig(5, 9, 2, True)
+    list(enumerate_graphs(config))
+    matrices = [(n, outs, ins) for n in range(2, 6) for _, outs, ins, _ in _surviving_matrices(n, 9)]
+    assert checked == matrices
+    assert len(calls) == sum(len(list(config.colorings(n))) for n, *_ in matrices) > len(matrices)
+
+
+def test_color_beyond_le64_leaves_no_table_entry():
+    outs, ins = ((1,), ()), ((), (0,))
+    g = validate(2, 1, {(1, 2)}, [1, 1])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            invariant_from_lists(2, outs, ins, [1, 2**64])
+    key, kernel, _, _, known = hashing._kernel
+    assert key == (2, outs, ins) and known == {}
+    # vertex 0's round-0 table holds color 1; vertex 1's holds nothing
+    assert [list(kernel.__globals__[f"r{i}"]) for i in range(2)] == [[1], []]
+    assert invariant_from_lists(2, outs, ins, [1, 1]) == graph_invariant(g)
+
+
+@pytest.mark.parametrize("colors", [(1, 2, 2, 3), (1, 2, 3, 4), (1, 3, 2, 4)])
+def test_kernel_orders_degree_two_groups(colors):
+    # vertices 1 and 4 each have the pair {2, 3} as neighbors: equal digests
+    # when 2 and 3 share a color, and unequal ones in both orders otherwise
+    g = validate(4, 4, {(1, 2), (1, 3), (2, 4), (3, 4)}, colors)
+    assert invariant_from_lists(4, *adjacency_lists(g), g.colors) == graph_invariant(g)
 
 
 @pytest.mark.parametrize("bad", [1.0, True, -1])
@@ -298,14 +377,14 @@ def test_isomorphic_structure_answered_from_table(monkeypatch, triple):
 
     left = triple[0]
     want = graph_invariant(left)
-    _, outs, ins, _ = canonical_relabeling(left.n, adjacency_lists(left)[0])
+    _, outs, ins, _ = canonical_relabeling(left.n, *adjacency_lists(left))
     for colors in itertools.product(range(1, 4), repeat=left.n):
         invariant_from_lists(left.n, outs, ins, colors)
-    monkeypatch.setattr(hashing, "_kernel", (None, None))
+    monkeypatch.setattr(hashing, "_kernel", (None,) * 5)
     monkeypatch.setattr(hashing, "_compile_kernel", never)
     monkeypatch.setattr(hashing, "_generic_invariant", never)
     for g in triple[1:]:
-        _, g_outs, g_ins, order = canonical_relabeling(g.n, adjacency_lists(g)[0])
+        _, g_outs, g_ins, order = canonical_relabeling(g.n, *adjacency_lists(g))
         assert (g_outs, g_ins) == (outs, ins)
         colors = [g.colors[v] for v in order]
         assert invariant_from_lists(g.n, g_outs, g_ins, colors) == want
