@@ -98,20 +98,8 @@ class ComputationalGraph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edge tuples in row-major (i, j) order."""
-        # The walk of neighbor_lists_from_bits, 1-based: row i ends before end.
-        n = self.n
-        s = bin(self.bits)[:1:-1]
-        m = pair_count(n)
-        edges = []
-        i, end = 1, n - 1
-        t = s.find("1", 0, m)
-        while t >= 0:
-            while t >= end:
-                i += 1
-                end += n - i
-            edges.append((i, t - end + n + 1))
-            t = s.find("1", t + 1, m)
-        return tuple(edges)
+        outs = neighbor_lists_from_bits(self.n, self.bits)[0]
+        return tuple([(i, j + 1) for i, row in enumerate(outs, 1) for j in row])
 
     @property
     def edge_count(self) -> int:

@@ -13,10 +13,13 @@ bytes, making the encoding injective.  Two backends share this encoding:
 * ``md5``    -- 16-byte digests, the default.
 * ``concat`` -- the identity map on the encoded bytes.  Collision-free, but
   digests grow exponentially with the round count, so a graph whose final
-  digest would exceed CONCAT_MAX_BYTES raises CapabilityExceeded up front.
+  digest would exceed CONCAT_MAX_BYTES raises CapabilityExceeded up front,
+  as soon as the digest sizes of some round pass it.
 
 One loop, the ``_rounds`` generator, serves traces, one-shot and batch
-digests.  ``invariant_from_lists``, the enumeration's md5 path, instead runs
+digests.  A one-shot digest keeps only the latest round, and an md5 round
+memoizes its inputs for that round alone, so its memory is linear in the
+graph.  ``invariant_from_lists``, the enumeration's md5 path, instead runs
 md5 code compiled per structure and cached until the next; it reads round 0
 from per-vertex tables by color.  md5 is CPython's ``_md5`` or ``hashlib.md5``.
 
@@ -38,6 +41,7 @@ ints (which nothing can change), skips their check, key and table lookup.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from itertools import islice
 from typing import Callable, Sequence
 
@@ -54,6 +58,12 @@ BACKENDS = ("md5", "concat")
 
 CONCAT_MAX_BYTES = 1 << 30  # the pinned 10-vertex pair needs 534,164,472
 
+# Shared LE64 encodings of 0..127.  The concat final memo is keyed on the ids
+# of a digest's parts, so it hits only because the degree counts among those
+# parts are these shared objects.  A count of 128 or more needs n >= 129, and
+# such a vertex pushes the digest past CONCAT_MAX_BYTES by round 6 (as the
+# 128-leaf star, the smallest such graph, does), so the size guard refuses
+# the graph before any round is built and the memo is never reached.
 _LE64 = [struct.pack("<Q", v) for v in range(128)]
 
 
@@ -138,15 +148,19 @@ def _rounds(n, outs, ins, colors, d, memo):
     # Yields the initial digest list, then the list after each of n rounds.
     if d is _identity:
         # A concat digest starts at 24 bytes; a round adds 16 and the neighbors'.
+        # Sizes only grow, so the first round over the cap refuses the graph.
         size = [24] * n
         for _ in range(n):
             size = [16 + size[i] + sum(size[j] for j in (*outs[i], *ins[i])) for i in range(n)]
-        if (total := 8 + sum(size)) > CONCAT_MAX_BYTES:
-            raise CapabilityExceeded(f"concat digest of {total} bytes exceeds CONCAT_MAX_BYTES")
+            if (total := 8 + sum(size)) > CONCAT_MAX_BYTES:
+                raise CapabilityExceeded(
+                    f"concat digest of at least {total} bytes exceeds CONCAT_MAX_BYTES"
+                )
     h = [d(_le64(len(outs[i])) + _le64(len(ins[i])) + _le64(colors[i])) for i in range(n)]
     yield h
     for _ in range(n):
-        h = _refine(n, outs, ins, h, d, memo)
+        # No md5 input recurs across rounds, so a round's memo dies with it.
+        h = _refine(n, outs, ins, h, d, memo if d is _identity else {})
         yield h
 
 
@@ -235,7 +249,7 @@ def _generic_invariant(n, outs, ins, colors, d, ctx):
     # one ctx are one object, so sorts and comparisons short-circuit on identity.
     memo, final_memo = ctx
     if d is not _identity:
-        *_, h = _rounds(n, outs, ins, colors, d, memo)
+        h = deque(_rounds(n, outs, ins, colors, d, memo), maxlen=1).pop()
         h.sort()
         return d(b"".join([_le64(n)] + h))
     # concat never builds round n: its digest for vertex i would be the join of
@@ -245,7 +259,7 @@ def _generic_invariant(n, outs, ins, colors, d, ctx):
     # self-delimiting digests follow), so two different rows first differ in
     # a pair of aligned parts of which neither is a prefix of the other:
     # ordering the tuples orders the joined bytes exactly.
-    *_, h = islice(_rounds(n, outs, ins, colors, d, memo), max(n, 1))
+    h = deque(islice(_rounds(n, outs, ins, colors, d, memo), max(n, 1)), maxlen=1).pop()
     rows = []
     for i in range(n):
         ho = sorted([h[j] for j in outs[i]])

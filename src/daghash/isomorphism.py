@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CapabilityExceeded, ComputationalGraph, GraphError, Permutation, pair_index
+from .graphs import (
+    CapabilityExceeded,
+    ComputationalGraph,
+    GraphError,
+    Permutation,
+    adjacency_lists,
+)
 
 ORACLE_MAX_VERTICES = 12
 
@@ -31,25 +37,12 @@ class IsoWitness:
         return self.permutation is not None
 
 
-def _adjacency_rows(g: ComputationalGraph) -> list[int]:
-    """Per-vertex bitmask over 0-based targets: bit j of row i means edge i+1 -> j+1.
-
-    Vertex i's row is the run of pairs (i, i+1)..(i, n) in the packed matrix,
-    shifted so that target j lands on bit j-1.
-    """
-    n, bits = g.n, g.bits
-    return [
-        (bits >> pair_index(n, i, i + 1) & ((1 << (n - i)) - 1)) << i
-        for i in range(1, n + 1)
-    ]
-
-
 def verify_witness(g1: ComputationalGraph, g2: ComputationalGraph, p: Permutation) -> bool:
     """True iff p preserves adjacency and coloring between g1 and g2.
 
-    g1's adjacency rows, carried through p, must equal g2's.  A g1 edge that
-    p reverses lands below the diagonal, where g2's i < j rows have no bits,
-    so it never matches.
+    p must carry g1's edge set onto g2's edge set.  A g1 edge (i, j) that p
+    reverses maps to a pair (a, b) with a > b, which g2's i < j edge set
+    never holds, so it never matches.
     """
     n = g1.n
     if g2.n != n:
@@ -59,10 +52,7 @@ def verify_witness(g1: ComputationalGraph, g2: ComputationalGraph, p: Permutatio
     mapping = p.mapping
     if any(g1.colors[i] != g2.colors[mapping[i] - 1] for i in range(n)):
         return False
-    mapped = [0] * n
-    for i, j in g1.edges:
-        mapped[mapping[i - 1] - 1] |= 1 << (mapping[j - 1] - 1)
-    return mapped == _adjacency_rows(g2)
+    return {(mapping[i - 1], mapping[j - 1]) for i, j in g1.edges} == set(g2.edges)
 
 
 def are_isomorphic(g1: ComputationalGraph, g2: ComputationalGraph) -> IsoWitness:
@@ -80,18 +70,14 @@ def are_isomorphic(g1: ComputationalGraph, g2: ComputationalGraph) -> IsoWitness
             f"{n} vertices exceeds the brute-force cap of {ORACLE_MAX_VERTICES}"
         )
 
-    rows1 = _adjacency_rows(g1)
-    rows2 = _adjacency_rows(g2)
-
-    def signatures(g: ComputationalGraph, rows: list[int]) -> list[tuple[int, int, int]]:
-        # (color, out-degree, in-degree) per vertex, from the adjacency rows.
-        return [
-            (g.colors[v], rows[v].bit_count(), sum(row >> v & 1 for row in rows))
-            for v in range(n)
-        ]
-
-    sig1 = signatures(g1, rows1)
-    sig2 = signatures(g2, rows2)
+    # Per vertex: a bitmask row over 0-based targets (bit j of rows[i] is the
+    # edge i -> j) and the (color, out-degree, in-degree) signature.
+    sides = []
+    for g in (g1, g2):
+        outs, ins = adjacency_lists(g)
+        rows = [sum([1 << j for j in row]) for row in outs]
+        sides.append((rows, [(g.colors[v], len(outs[v]), len(ins[v])) for v in range(n)]))
+    (rows1, sig1), (rows2, sig2) = sides
     if sorted(sig1) != sorted(sig2):
         return IsoWitness(None)
     candidates = [[w for w in range(n) if sig2[w] == sig1[v]] for v in range(n)]

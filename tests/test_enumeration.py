@@ -91,9 +91,10 @@ def test_surviving_matrices_examples():
     complete4 = pack_edges(4, iter_pairs(4))
     assert complete4 in {bits for bits, *_ in _surviving_matrices(4, 6)}
     assert complete4 not in {bits for bits, *_ in _surviving_matrices(4, 5)}
-    complete7 = pack_edges(7, iter_pairs(7))
-    assert complete7.bit_count() == 21
-    assert complete7 not in {bits for bits, *_ in _surviving_matrices(7, 9)}
+    complete5 = pack_edges(5, iter_pairs(5))
+    assert complete5.bit_count() == 10
+    assert complete5 in {bits for bits, *_ in _surviving_matrices(5, 10)}
+    assert complete5 not in {bits for bits, *_ in _surviving_matrices(5, 9)}
 
 
 @settings(max_examples=80)

@@ -96,3 +96,19 @@ def test_public_functions_are_api():
     readers = [p.read_text(encoding="utf-8") for p in API_READERS]
     found = unlisted_functions(modules, exported, readers)
     assert not found, "public functions outside the API:\n" + "\n".join(found)
+
+
+# Only graphs.py knows the row-major packed layout; enumeration.py reads it
+# for _pair_bits.  Every other module decodes through neighbor_lists_from_bits
+# or adjacency_lists.
+PACKED_LAYOUT_READERS = {"graphs", "enumeration"}
+
+
+def test_packed_layout_read_in_one_place():
+    found = [
+        p.name
+        for p in sorted((ROOT / "src/daghash").glob("*.py"))
+        if p.stem not in PACKED_LAYOUT_READERS
+        and "pair_index" in names_read(p.read_text(encoding="utf-8"))
+    ]
+    assert not found, "modules reading pair_index:\n" + "\n".join(found)
