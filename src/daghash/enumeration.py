@@ -11,8 +11,8 @@ equivalence class.  The digest dedup is sound only insofar as the invariant
 separates non-isomorphic graphs; verify_buckets re-checks that assumption on
 the same stream with the brute-force oracle, checking every duplicate against
 its digest's first graph and demanding bucket purity.  With several workers
-only the hashing moves to a process pool; the stream, and so every output,
-is unchanged.
+and more than one core only the hashing moves to a process pool, whose
+modules are imported only then; the stream, and so every output, is unchanged.
 
 The seen-digest set spans all n.  Digests embed the vertex count, so graphs
 of different sizes cannot merge; the global set simply mirrors the loop
@@ -36,7 +36,6 @@ import functools
 import itertools
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -201,11 +200,11 @@ def _hashed(config, backend, workers=1):
     """(n, bits, colors, digest) for every coloring of every surviving matrix.
 
     Generation order: n ascending, then bits ascending, then colorings
-    lexicographic.  workers > 1 computes each matrix's digests in a process
-    pool while the scan stays in this process; the pool's map returns blocks
-    in submission order, so the stream is the sequential one.  Raises
-    CapabilityExceeded, before yielding, if n_max has over MAX_COLORINGS
-    colorings.
+    lexicographic.  workers > 1, on more than one core, computes each matrix's
+    digests in a process pool while the scan stays in this process; the pool's
+    map returns blocks in submission order, so the stream is the sequential
+    one.  Raises CapabilityExceeded, before yielding, if n_max has over
+    MAX_COLORINGS colorings.
     """
     # The count is k ** (free vertices at n_max).  Any k >= 2 exceeds the cap
     # at 21 free vertices, so clamping the exponent there keeps the int small.
@@ -215,12 +214,12 @@ def _hashed(config, backend, workers=1):
             f"{config.k} ** {free} colorings at n = {config.n_max} exceed {MAX_COLORINGS}"
         )
     # The executor forks all its processes at the first submit, so never ask
-    # for more than there are cores.
-    with (
-        ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
-        if workers > 1
-        else contextlib.nullcontext()
-    ) as pool:
+    # for more than there are cores; one usable core hashes in this process,
+    # which then never imports the pool modules.
+    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         blocks = map if pool is None else functools.partial(pool.map, chunksize=64)
         for n in range(2, config.n_max + 1):
             colorings = list(config.colorings(n))

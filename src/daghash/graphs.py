@@ -105,11 +105,6 @@ class ComputationalGraph:
     def edge_count(self) -> int:
         return self.bits.bit_count()
 
-    def has_edge(self, i: int, j: int) -> bool:
-        if not (1 <= i < j <= self.n):
-            return False
-        return bool(self.bits >> pair_index(self.n, i, j) & 1)
-
 
 @dataclass(frozen=True, slots=True)
 class Permutation:

@@ -31,6 +31,12 @@ def iter_pairs(n):
             yield i, j
 
 
+def has_edge(g, i, j):
+    """Whether g has the edge i -> j: the bit of pair (i, j) in the packed
+    matrix, read without a decoder; the tests' reference for the layout."""
+    return 1 <= i < j <= g.n and bool(g.bits >> pair_index(g.n, i, j) & 1)
+
+
 def identity_permutation(n):
     return Permutation(tuple(range(1, n + 1)))
 

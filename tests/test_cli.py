@@ -1,5 +1,6 @@
 """Command-line behavior: output formats and the exit-code contract."""
 
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -244,7 +245,8 @@ def test_enumerate_workers_do_not_change_output(tmp_path, capsys):
 
 
 def test_enumerate_workers_capped_at_cpu_count(monkeypatch, capsys):
-    # no process is started: the stub pool records its size and refuses
+    # no process is started: the stub pool records its size and refuses;
+    # one usable core hashes in this process and builds no pool
     sizes = []
 
     class Refused(Exception):
@@ -254,17 +256,21 @@ def test_enumerate_workers_capped_at_cpu_count(monkeypatch, capsys):
         sizes.append(max_workers)
         raise Refused
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
     args = ["enumerate", "--max-vertices", "3", "--max-edges", "3", "--colors", "1"]
     for workers in ("1000000", "2"):
         with pytest.raises(Refused):
             main(args + ["--workers", workers])
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
-    with pytest.raises(Refused):
-        main(args + ["--workers", "2"])
-    assert sizes == [3, 2, 1]
+    assert sizes == [3, 2]
     capsys.readouterr()
+    assert main(args) == 0
+    sequential = capsys.readouterr().out
+    for cores in (None, 1):
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cores)
+        assert main(args + ["--workers", "2"]) == 0
+        assert sizes == [3, 2]
+        assert capsys.readouterr().out == sequential
 
 
 def test_enumerate_bad_bounds_is_input_error(capsys):

@@ -1,7 +1,10 @@
-"""Source hygiene: every imported name is used where it is imported, and
-every public function of the package is part of its API."""
+"""Source hygiene: every imported name is used where it is imported, every
+public function of the package is part of its API, and importing the package
+loads no process-pool module."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,3 +115,20 @@ def test_packed_layout_read_in_one_place():
         and "pair_index" in names_read(p.read_text(encoding="utf-8"))
     ]
     assert not found, "modules reading pair_index:\n" + "\n".join(found)
+
+
+# Only a run that builds a pool imports the pool modules; importing the
+# package and its command line, as every sequential run does, loads none.
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def test_import_loads_no_pool_modules():
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import daghash, daghash.cli; "
+        f"print([m for m in {POOL_MODULES!r} if m in sys.modules])"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]", run.stdout
