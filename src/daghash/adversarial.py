@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ComputationalGraph, adjacency_lists, pack_edges
+from .graphs import (
+    MAX_VERTICES, CapabilityExceeded, ComputationalGraph, adjacency_lists, pack_edges,
+)
 from .hashing import graph_invariant
 from .isomorphism import ORACLE_MAX_VERTICES, are_isomorphic
 
@@ -50,9 +52,8 @@ def middle_component_sizes(g: ComputationalGraph) -> list[int]:
     both and this multiset is invariant.
     """
     outs, ins = adjacency_lists(g)
-    interior = set(range(1, g.n - 1))
     sizes = []
-    unvisited = set(interior)
+    unvisited = set(range(1, g.n - 1))
     while unvisited:
         stack = [unvisited.pop()]
         size = 0
@@ -99,6 +100,8 @@ def _layered_pair(degree, size, color_a, color_b) -> AdversarialPair:
     # colors color_a and color_b and input and output (and k) one past both.
     m, d, half = size, degree, size // 2
     n = 2 * m + 2
+    if n > MAX_VERTICES:
+        raise CapabilityExceeded(f"{n} vertices exceed MAX_VERTICES = {MAX_VERTICES}")
     a = [2 + u for u in range(m)]
     b = [2 + m + v for v in range(m)]
     ends = [(1, v) for v in a] + [(v, n) for v in b]

@@ -18,15 +18,15 @@ The seen-digest set spans all n.  Digests embed the vertex count, so graphs
 of different sizes cannot merge; the global set simply mirrors the loop
 structure of the generation procedure.
 
-Each surviving matrix is hashed in its canonical labeling: the linear
-extension with the least packed bits, found by a search that visits only
-linear extensions.  Isomorphic i < j DAGs have the same set of i < j
-relabelings, so they share one canonical matrix, and every coloring of a
-matrix isomorphic to an earlier one reaches the hash as inputs already seen,
-which the hashing layer's per-n table answers without refining.  The
-relabeling only changes what is hashed, and the hash is an isomorphism
-invariant, so every digest, record and output byte is what hashing the
-original labeling gives.
+Each surviving matrix is hashed in its canonical labeling, the linear
+extension with the least packed bits, which graphs.canonical_relabeling
+finds by a search that visits only linear extensions.  Isomorphic i < j
+DAGs have the same set of i < j relabelings, so they share one canonical
+matrix, and every coloring of a matrix isomorphic to an earlier one
+reaches the hash as inputs already seen, which the hashing layer's per-n
+table answers without refining.  The relabeling only changes what is
+hashed, and the hash is an isomorphism invariant, so every digest, record
+and output byte is what hashing the original labeling gives.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ from typing import Iterator
 from .graphs import (
     CapabilityExceeded,
     ComputationalGraph,
-    _extensions,
+    canonical_relabeling,
     neighbor_lists_from_bits,
     pair_count,
-    pair_index,
     span_mask,
 )
 from .hashing import Digest, invariant_from_lists
@@ -130,42 +129,6 @@ class FalseMerge(Exception):
             f"digest {digest.hex()} merges non-isomorphic graphs "
             f"(n={canonical.n})"
         )
-
-
-@functools.cache
-def _pair_bits(n):
-    # _pair_bits(n)[a][b] is the packed bit of the 0-based pair a < b.
-    return [
-        [1 << pair_index(n, a + 1, b + 1) if a < b else 0 for b in range(n)]
-        for a in range(n)
-    ]
-
-
-def canonical_relabeling(n: int, outs, ins):
-    """The linear extension giving the least packed bits, applied to the lists.
-
-    Searches the linear extensions of the DAG with 0-based out- and
-    in-neighbor lists outs and ins (each edge i -> j has i < j) in
-    lexicographic order; the first least one wins.  Returns (bits, outs,
-    ins, order): the least bits, the relabeled neighbor lists (sorted
-    tuples), and order[v], the original vertex placed at position v.
-    """
-    edges = [(i, j) for i in range(n) for j in outs[i]]
-    pair_bits = _pair_bits(n)
-    best = None
-    for p in _extensions(n, outs, ins):
-        bits = 0
-        for i, j in edges:
-            bits |= pair_bits[p[i]][p[j]]
-        if best is None or bits < best:
-            best, best_p = bits, p
-    order = sorted(range(n), key=best_p.__getitem__)
-    return (
-        best,
-        tuple(tuple(sorted([best_p[j] for j in outs[i]])) for i in order),
-        tuple(tuple(sorted([best_p[j] for j in ins[i]])) for i in order),
-        tuple(order),
-    )
 
 
 def _surviving_matrices(n: int, e_max: int):

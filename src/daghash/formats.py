@@ -60,9 +60,11 @@ def graph_from_dict(obj, normalize: bool = False) -> ComputationalGraph:
         if not isinstance(e, list) or len(e) != 2 or not all(map(_is_int, e)):
             raise GraphError(f"bad edge entry {e!r}; expected [i, j]")
         edges.append((e[0], e[1]))
-    if len(set(edges)) != len(edges):
-        dup = next(e for t, e in enumerate(edges) if e in edges[:t])
-        raise GraphError(f"edge {list(dup)} is listed more than once")
+    seen = set()
+    for e in edges:
+        if e in seen:
+            raise GraphError(f"edge {list(e)} is listed more than once")
+        seen.add(e)
     if normalize:
         return normalize_dag(n, k, edges, colors)
     return validate(n, k, edges, colors)

@@ -1,15 +1,17 @@
-"""Colored-DAG data model: validation, relabeling, and topological normalization.
+"""Colored-DAG data model: validation, relabeling, canonical form, normalization.
 
 A computational graph is a colored DAG on vertices 1..n whose edges all point
 from a smaller to a larger index, and in which every vertex lies on some
 directed path from vertex 1 to vertex n.  Adjacency is stored as a packed
 upper-triangular bit matrix: bit t of ``bits`` is the t-th vertex pair (i, j),
-i < j, in row-major order (1,2), (1,3), ..., (1,n), (2,3), ...  All public
-interfaces speak 1-indexed vertices and colors.
+i < j, in row-major order (1,2), (1,3), ..., (1,n), (2,3), ...  Only this
+module reads that layout.  All public interfaces speak 1-indexed vertices
+and colors.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -285,6 +287,42 @@ def linear_extensions(g: ComputationalGraph) -> Iterator[Permutation]:
     """Every order-preserving relabeling, in lexicographic order of mapping."""
     for p in _extensions(g.n, *adjacency_lists(g)):
         yield Permutation(tuple(v + 1 for v in p))
+
+
+@functools.cache
+def _pair_bits(n):
+    # _pair_bits(n)[a][b] is the packed bit of the 0-based pair a < b.
+    return [
+        [1 << pair_index(n, a + 1, b + 1) if a < b else 0 for b in range(n)]
+        for a in range(n)
+    ]
+
+
+def canonical_relabeling(n: int, outs, ins):
+    """The linear extension giving the least packed bits, applied to the lists.
+
+    Searches the linear extensions of the DAG with 0-based out- and
+    in-neighbor lists outs and ins (each edge i -> j has i < j) in
+    lexicographic order; the first least one wins.  Returns (bits, outs,
+    ins, order): the least bits, the relabeled neighbor lists (sorted
+    tuples), and order[v], the original vertex placed at position v.
+    """
+    edges = [(i, j) for i in range(n) for j in outs[i]]
+    pair_bits = _pair_bits(n)
+    best = None
+    for p in _extensions(n, outs, ins):
+        bits = 0
+        for i, j in edges:
+            bits |= pair_bits[p[i]][p[j]]
+        if best is None or bits < best:
+            best, best_p = bits, p
+    order = sorted(range(n), key=best_p.__getitem__)
+    return (
+        best,
+        tuple(tuple(sorted([best_p[j] for j in outs[i]])) for i in order),
+        tuple(tuple(sorted([best_p[j] for j in ins[i]])) for i in order),
+        tuple(order),
+    )
 
 
 def normalize_dag(

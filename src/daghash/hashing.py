@@ -30,10 +30,10 @@ The bytes are the same, and round n never sits in memory beside the result.
 
 For md5, ``invariant_from_lists`` also keeps a table of the digests it has
 computed for the current n, keyed by (structure, colors), and drops it when n
-changes.  The enumeration hands it every matrix in canonical labeling, so a
-matrix isomorphic to an earlier one repeats that one's inputs exactly and is
-answered from the table.  The table returns what the same inputs computed
-before, so reuse is exact whether or not the hash separates all classes.
+changes.  The enumeration hands it every matrix as graphs.canonical_relabeling
+labels it, so a matrix isomorphic to an earlier one repeats that one's inputs
+exactly and is answered from the table, which returns what the same inputs
+computed before: reuse is exact whether or not the hash separates all classes.
 A call with the last call's neighbor lists, if they are tuples of tuples of
 ints (which nothing can change), skips their check, key and table lookup.
 """
@@ -282,21 +282,14 @@ def graph_invariants(
     """Invariant digests for several graphs at once.
 
     Returns exactly what mapping ``graph_invariant`` over the sequence would,
-    but in concat mode the builder state is shared, so digests that several
-    graphs have in common are built once and returned as shared objects.
+    but the graphs share one builder state, which only concat reads, so concat
+    digests that several graphs have in common are built once and shared.
     Worth using whenever concat digests of related graphs are compared: for a
     pair whose refinement agrees everywhere the second graph costs almost
     nothing and the final equality check is an identity test.
     """
-    if backend == "md5":
-        return [graph_invariant(g, "md5") for g in graphs]
-    d = digest_function(backend)
-    ctx = ({}, {})
-    out = []
-    for g in graphs:
-        outs, ins = adjacency_lists(g)
-        out.append(_generic_invariant(g.n, outs, ins, g.colors, d, ctx))
-    return out
+    d, ctx = digest_function(backend), ({}, {})
+    return [_generic_invariant(g.n, *adjacency_lists(g), g.colors, d, ctx) for g in graphs]
 
 
 _kernel = (None,) * 5  # (structure, kernel, outs, ins, table dict); results never depend on it

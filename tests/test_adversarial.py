@@ -1,5 +1,7 @@
 """Adversarial pairs: digest collision, certified non-isomorphism."""
 
+import tracemalloc
+
 import pytest
 
 from conftest import has_edge
@@ -10,7 +12,7 @@ from daghash.adversarial import (
     counterexample_pair,
     middle_component_sizes,
 )
-from daghash.graphs import adjacency_lists, validate
+from daghash.graphs import CapabilityExceeded, adjacency_lists, pack_edges, validate
 from daghash.hashing import graph_invariant, graph_invariants, refinement_trace
 from daghash.isomorphism import are_isomorphic
 
@@ -107,6 +109,22 @@ def test_family_larger_instances(degree, size):
     assert middle_component_sizes(pair.g1) == [2 * size]
     assert middle_component_sizes(pair.g2) == [size, size]
     assert str(size) in pair.certificate
+
+
+def test_oversized_family_refused_before_allocating():
+    # 200,002 vertices: the edge lists were built before pack_edges refused
+    # the size, about 156 MB of RSS at these parameters
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityExceeded) as refused:
+            bipartite_adversarial_pair(8, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(CapabilityExceeded) as packed:
+        pack_edges(200_002, ())
+    assert str(refused.value) == str(packed.value)
 
 
 def test_family_regular_degrees():

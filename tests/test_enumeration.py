@@ -16,7 +16,6 @@ from daghash.enumeration import (
     EnumerationConfig,
     FalseMerge,
     _surviving_matrices,
-    canonical_relabeling,
     enumerate_graphs,
     verify_buckets,
 )
@@ -27,6 +26,7 @@ from daghash.graphs import (
     Permutation,
     adjacency_lists,
     apply_permutation,
+    canonical_relabeling,
     linear_extensions,
     neighbor_lists_from_bits,
     pack_edges,

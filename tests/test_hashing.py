@@ -14,7 +14,6 @@ from daghash import enumeration, hashing
 from daghash.enumeration import (
     EnumerationConfig,
     _surviving_matrices,
-    canonical_relabeling,
     enumerate_graphs,
 )
 from daghash.graphs import (
@@ -22,6 +21,7 @@ from daghash.graphs import (
     ComputationalGraph,
     adjacency_lists,
     apply_permutation,
+    canonical_relabeling,
     linear_extensions,
     pack_edges,
     pair_count,

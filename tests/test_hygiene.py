@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used where it is imported, every
-public function of the package is part of its API, and importing the package
-loads no process-pool module."""
+public function of the package is part of its API, no package module imports
+another's underscore names, only graphs.py reads the packed layout, and
+importing the package loads no process-pool module."""
 
 import ast
 import subprocess
@@ -101,10 +102,10 @@ def test_public_functions_are_api():
     assert not found, "public functions outside the API:\n" + "\n".join(found)
 
 
-# Only graphs.py knows the row-major packed layout; enumeration.py reads it
-# for _pair_bits.  Every other module decodes through neighbor_lists_from_bits
-# or adjacency_lists.
-PACKED_LAYOUT_READERS = {"graphs", "enumeration"}
+# Only graphs.py knows the row-major packed layout, canonical_relabeling
+# included.  Every other module decodes through neighbor_lists_from_bits or
+# adjacency_lists.
+PACKED_LAYOUT_READERS = {"graphs"}
 
 
 def test_packed_layout_read_in_one_place():
@@ -115,6 +116,42 @@ def test_packed_layout_read_in_one_place():
         and "pair_index" in names_read(p.read_text(encoding="utf-8"))
     ]
     assert not found, "modules reading pair_index:\n" + "\n".join(found)
+
+
+def private_imports(source: str) -> list[str]:
+    """Imports of underscore names from the package's own modules."""
+    return [
+        f"from {'.' * node.level}{node.module or ''} import {a.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "daghash")
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+
+
+def test_private_imports_detected():
+    src = (
+        "from __future__ import annotations\nfrom _md5 import md5 as _m\n"
+        "from .graphs import _extensions, pair_count\nfrom . import _x\n"
+        "from daghash.hashing import _md5\n"
+    )
+    assert private_imports(src) == [
+        "from .graphs import _extensions",
+        "from . import _x",
+        "from daghash.hashing import _md5",
+    ]
+
+
+def test_no_private_names_across_modules():
+    # A module's underscore names are its own; a name another module needs
+    # is public, or lives beside its one caller.
+    found = [
+        f"{p.name}: {line}"
+        for p in sorted((ROOT / "src/daghash").glob("*.py"))
+        for line in private_imports(p.read_text(encoding="utf-8"))
+    ]
+    assert not found, "private names imported across modules:\n" + "\n".join(found)
 
 
 # Only a run that builds a pool imports the pool modules; importing the
