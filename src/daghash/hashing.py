@@ -26,6 +26,7 @@ from per-vertex tables by color.  md5 is CPython's ``_md5`` or ``hashlib.md5``.
 A final concat digest is written straight from round n-1: round n's digest
 of a vertex would only join its sorted neighbor digests and its own, so the
 one-shot and batch paths sort those parts per vertex and join them once.
+``_row`` lays out that per-vertex input, for ``_refine`` and this final alike.
 The bytes are the same, and round n never sits in memory beside the result.
 
 For md5, ``invariant_from_lists`` also keeps a table of the digests it has
@@ -164,31 +165,27 @@ def _rounds(n, outs, ins, colors, d, memo):
         yield h
 
 
+def _row(h, outs, ins, i):
+    # Vertex i's round input over the digests h: (LE64(#out), *sorted out
+    # digests, LE64(#in), *sorted in digests, own digest), joined as is.
+    ho = sorted([h[j] for j in outs[i]])
+    hi = sorted([h[j] for j in ins[i]])
+    return (_le64(len(ho)), *ho, _le64(len(hi)), *hi, h[i])
+
+
 def _refine(n, outs, ins, h, d, memo):
-    # memo maps the tuple of input digests to the built output, so vertices
-    # whose inputs agree share one output object.  bytes objects cache their
-    # hash and equal digests are shared, so after the first sighting of a
-    # digest the key costs almost nothing to hash or compare.  This keeps
-    # concat-mode work proportional to the number of *distinct* digests per
-    # round instead of n, and the memo stays valid across rounds and graphs.
+    # memo maps a vertex's row to the built output, so vertices whose rows
+    # agree share one output object.  bytes objects cache their hash and
+    # equal digests are shared, so after the first sighting of a digest the
+    # row costs almost nothing to hash or compare.  This keeps concat-mode
+    # work proportional to the number of *distinct* digests per round
+    # instead of n, and the memo stays valid across rounds and graphs.
     new = []
     for i in range(n):
-        ho = [h[j] for j in outs[i]]
-        if len(ho) > 1:
-            ho.sort()
-        hi = [h[j] for j in ins[i]]
-        if len(hi) > 1:
-            hi.sort()
-        key = (tuple(ho), tuple(hi), h[i])
-        got = memo.get(key)
+        row = _row(h, outs, ins, i)
+        got = memo.get(row)
         if got is None:
-            parts = [_le64(len(ho))]
-            parts += ho
-            parts.append(_le64(len(hi)))
-            parts += hi
-            parts.append(h[i])
-            got = d(b"".join(parts))
-            memo[key] = got
+            got = memo[row] = d(b"".join(row))
         new.append(got)
     return new
 
@@ -253,19 +250,13 @@ def _generic_invariant(n, outs, ins, colors, d, ctx):
         h.sort()
         return d(b"".join([_le64(n)] + h))
     # concat never builds round n: its digest for vertex i would be the join of
-    # (LE64(#out), *sorted outs, LE64(#in), *sorted ins, own) over round n-1,
-    # so those part tuples are sorted and written out once.  Every concat
-    # digest of one round is self-delimiting (its counts say how many
-    # self-delimiting digests follow), so two different rows first differ in
-    # a pair of aligned parts of which neither is a prefix of the other:
-    # ordering the tuples orders the joined bytes exactly.
+    # vertex i's _row over round n-1, so the rows are sorted and written out
+    # once.  Every concat digest of one round is self-delimiting (its counts
+    # say how many self-delimiting digests follow), so two different rows
+    # first differ in a pair of aligned parts of which neither is a prefix of
+    # the other: ordering the tuples orders the joined bytes exactly.
     h = deque(islice(_rounds(n, outs, ins, colors, d, memo), max(n, 1)), maxlen=1).pop()
-    rows = []
-    for i in range(n):
-        ho = sorted([h[j] for j in outs[i]])
-        hi = sorted([h[j] for j in ins[i]])
-        rows.append((_le64(len(ho)), *ho, _le64(len(hi)), *hi, h[i]))
-    rows.sort()
+    rows = sorted(_row(h, outs, ins, i) for i in range(n))
     parts = [p for row in rows for p in row]
     # Keyed on ids, which is cheaper than hashing hundreds of megabytes; the
     # entry keeps the parts alive so no id is reused while it is cached (at

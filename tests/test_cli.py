@@ -163,6 +163,15 @@ def test_duplicate_edge_found_in_one_pass():
         graph_from_dict(twice)
 
 
+@pytest.mark.parametrize("command", ["hash", "hash --normalize"])
+def test_edge_endpoint_outside_range_is_input_error(tmp_path, command, capsys):
+    # refused by pack_edges, and with --normalize by normalize_dag
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps({"n": 3, "k": 1, "colors": [1, 1, 1], "edges": [[1, 2], [2, 4]]}))
+    assert main([*command.split(), str(path)]) == 2
+    assert "edge (2, 4) has an endpoint outside 1..3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["hash", "hash --normalize", "iso"])
 def test_duplicate_edges_are_input_error(tmp_path, command, capsys):
     path = tmp_path / "dup.json"
@@ -396,6 +405,26 @@ def test_out_of_memory_is_capability_error(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == "error: out of memory\n"
     assert not out.exists()
+
+
+def test_concat_census_matches_md5_census(tmp_path, capsys):
+    # the only CLI path into the concat refinement rounds and final
+    argv = ["--max-vertices", "5", "--max-edges", "7", "--colors", "2", "--reserved-io"]
+    census = {}
+    for backend in ("md5", "concat"):
+        out = tmp_path / f"{backend}.jsonl"
+        assert main(["enumerate", *argv, "--backend", backend, "--out", str(out)]) == 0
+        census[backend] = [
+            {k: v for k, v in json.loads(line).items() if k != "hash"}
+            for line in out.read_text().splitlines()
+        ]
+    # 551 records, then the summary line
+    assert census["concat"] == census["md5"]
+    assert len(census["concat"]) == 552 and census["concat"][-1]["total"] == 551
+    capsys.readouterr()
+    assert main(["verify", *argv, "--backend", "concat"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "all buckets pure (190 duplicate members verified)"
 
 
 def test_concat_over_size_cap_is_capability_error(tmp_path, capsys):

@@ -179,6 +179,9 @@ def test_apply_permutation_rejects_reversal():
     g = validate(3, 1, {(1, 2), (2, 3)}, [1, 1, 1])
     with pytest.raises(NotLinearExtension):
         apply_permutation(g, Permutation((2, 1, 3)))
+    # a permutation of another vertex count is refused too
+    with pytest.raises(GraphError, match=r"^permutation acts on 2 vertices, graph has 3$"):
+        apply_permutation(g, Permutation((1, 2)))
     # the first reversed edge in row-major order is the one named
     g = validate(4, 1, {(3, 4), (2, 4), (2, 3), (1, 2)}, [1] * 4)
     with pytest.raises(NotLinearExtension, match=r"^edge \(2, 3\) maps to \(4, 3\), reversing"):

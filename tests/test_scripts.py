@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from daghash.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -28,3 +30,13 @@ def test_run_search_space_help():
     done = run_script("scripts/run_search_space.py", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: run_search_space.py")
+
+
+def test_run_search_space_writes_cli_bytes(tmp_path):
+    # the script keeps its own census loop; its file must be the CLI's
+    argv = ["--max-vertices", "5", "--max-edges", "7", "--colors", "2"]
+    a, b = tmp_path / "script.jsonl", tmp_path / "cli.jsonl"
+    done = run_script("scripts/run_search_space.py", *argv, "--out", str(a))
+    assert done.returncode == 0, done.stderr
+    assert main(["enumerate", *argv, "--reserved-io", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
