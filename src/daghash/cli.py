@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 
 from .adversarial import (
@@ -123,8 +124,11 @@ def _cmd_enumerate(args) -> int:
         out.write(summary_line(per_n) + "\n")
     except BaseException:
         if args.out is not None:
+            # never unlink a device, FIFO or other special file named by --out
+            regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode)
             out.close()
-            os.unlink(args.out)
+            if regular:
+                os.unlink(args.out)
         raise
     if args.out is not None:
         out.close()

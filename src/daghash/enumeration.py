@@ -149,7 +149,7 @@ def _surviving_matrices(n: int, e_max: int):
             yield bits, outs, ins, operator.itemgetter(*order)
 
 
-def _matrix_digests(n, mat, colorings, backend):
+def _matrix_digests(n, colorings, backend, mat):
     # One matrix's bits and its digests in coloring order, hashed from the
     # canonical lists the scan built; runs here or in a pool worker.
     bits, outs, ins, relabel = mat
@@ -186,13 +186,8 @@ def _hashed(config, backend, workers=1):
         blocks = map if pool is None else functools.partial(pool.map, chunksize=64)
         for n in range(2, config.n_max + 1):
             colorings = list(config.colorings(n))
-            for bits, digests in blocks(
-                _matrix_digests,
-                itertools.repeat(n),
-                _surviving_matrices(n, config.e_max),
-                itertools.repeat(colorings),
-                itertools.repeat(backend),
-            ):
+            digests_of = functools.partial(_matrix_digests, n, colorings, backend)
+            for bits, digests in blocks(digests_of, _surviving_matrices(n, config.e_max)):
                 for colors, dig in zip(colorings, digests):
                     yield n, bits, colors, dig
 

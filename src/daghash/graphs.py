@@ -153,23 +153,20 @@ def neighbor_lists_from_bits(n: int, bits: int) -> tuple[list[list[int]], list[l
 
 def span_mask(n: int, outs: Sequence[Sequence[int]], ins: Sequence[Sequence[int]]) -> int:
     """Bitmask of 0-based vertices both forward-reachable from vertex 1 and
-    backward-reachable from vertex n."""
+    backward-reachable from vertex n, for neighbor lists outs and ins in
+    which each edge u -> w has u < w.  Index order is then a topological
+    order, so one ascending pass over outs finds the forward reach and one
+    descending pass over ins the backward reach."""
     forward = 1
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in outs[u]:
-            if not forward >> v & 1:
+    for u in range(n):
+        if forward >> u & 1:
+            for v in outs[u]:
                 forward |= 1 << v
-                stack.append(v)
     backward = 1 << (n - 1)
-    stack = [n - 1]
-    while stack:
-        u = stack.pop()
-        for v in ins[u]:
-            if not backward >> v & 1:
+    for u in reversed(range(n)):
+        if backward >> u & 1:
+            for v in ins[u]:
                 backward |= 1 << v
-                stack.append(v)
     return forward & backward
 
 

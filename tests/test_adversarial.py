@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from conftest import has_edge
+from daghash import adversarial
 from daghash.adversarial import (
     AdversarialPair,
     ConstructionDegenerate,
@@ -12,7 +13,13 @@ from daghash.adversarial import (
     counterexample_pair,
     middle_component_sizes,
 )
-from daghash.graphs import CapabilityExceeded, adjacency_lists, pack_edges, validate
+from daghash.graphs import (
+    CapabilityExceeded,
+    ComputationalGraph,
+    adjacency_lists,
+    pack_edges,
+    validate,
+)
 from daghash.hashing import graph_invariant, graph_invariants, refinement_trace
 from daghash.isomorphism import are_isomorphic
 
@@ -37,6 +44,27 @@ def test_pinned_pair_collides_concat(pinned_pair):
 
 def test_pinned_pair_not_isomorphic(pinned_pair):
     assert not are_isomorphic(pinned_pair.g1, pinned_pair.g2).isomorphic
+
+
+def test_certified_rejects_non_colliding_pair(pinned_pair):
+    g1 = pinned_pair.g1
+    recolored = ComputationalGraph(g1.n, g1.k, g1.bits, (3, 2) + g1.colors[2:])
+    with pytest.raises(RuntimeError, match="does not collide"):
+        adversarial._certified(g1, recolored)
+
+
+def test_certified_rejects_isomorphic_pair(pinned_pair):
+    # within the oracle cap, the oracle finds the isomorphism
+    with pytest.raises(ConstructionDegenerate, match="isomorphic"):
+        adversarial._certified(pinned_pair.g1, pinned_pair.g1)
+
+
+def test_certified_rejects_equal_middles_above_oracle_cap():
+    # 14 vertices: past the oracle, so only the component sizes certify
+    h = bipartite_adversarial_pair(2, 6).g1
+    assert h.n == 14
+    with pytest.raises(ConstructionDegenerate, match="middle components agree"):
+        adversarial._certified(h, h)
 
 
 def test_pinned_pair_certificate_mentions_oracle(pinned_pair):

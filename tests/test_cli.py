@@ -5,6 +5,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -389,6 +391,17 @@ def test_too_many_colorings_is_capability_error(tmp_path, command, capsys):
     assert not out.exists()
 
 
+def test_failed_enumerate_keeps_special_out_file(monkeypatch, capsys):
+    # a failed run removes its partial --out file only if it is a regular
+    # file; the recorder stands in for os.unlink, so no device is at risk
+    unlinked = []
+    monkeypatch.setattr(os, "unlink", unlinked.append)
+    argv = ["enumerate", "--max-vertices", "2", "--max-edges", "1", "--colors", "30000"]
+    assert main(argv + ["--out", os.devnull]) == 3
+    assert "exceed" in capsys.readouterr().err
+    assert unlinked == []
+
+
 def test_out_of_memory_is_capability_error(tmp_path, monkeypatch, capsys):
     # two records, then the allocator gives up; no real memory is exhausted
     def failing(config, backend="md5", workers=1):
@@ -570,3 +583,13 @@ def test_unknown_command_exits_two(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_entry_exits_with_main_code(monkeypatch, capsys):
+    # the console script reads sys.argv and exits with main's return code
+    argv = ["verify", "--max-vertices", "13", "--max-edges", "3", "--colors", "1"]
+    monkeypatch.setattr(sys, "argv", ["daghash", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err

@@ -221,6 +221,38 @@ def test_extensions_match_brute_force_at_six_vertices():
     assert checked == 3346
 
 
+def test_span_mask_matches_edge_fixpoint():
+    """span_mask equals reachability found without index order, a fixpoint
+    over the edge list, on every matrix with n <= 5."""
+    for n in range(1, 6):
+        for bits in range(1 << pair_count(n)):
+            outs, ins = neighbor_lists_from_bits(n, bits)
+            edges = [(u, v) for u in range(n) for v in outs[u]]
+            forward, backward = {0}, {n - 1}
+            grew = True
+            while grew:
+                size = len(forward) + len(backward)
+                for u, v in edges:
+                    if u in forward:
+                        forward.add(v)
+                    if v in backward:
+                        backward.add(u)
+                grew = len(forward) + len(backward) > size
+            assert span_mask(n, outs, ins) == sum(1 << v for v in forward & backward)
+
+
+def test_path_condition_is_local():
+    """The path condition holds iff every vertex but the first has an
+    in-neighbor and every vertex but the last an out-neighbor, on every
+    matrix with n <= 6; conftest.valid_graphs completes matrices by it."""
+    for n in range(1, 7):
+        full = (1 << n) - 1
+        for bits in range(1 << pair_count(n)):
+            outs, ins = neighbor_lists_from_bits(n, bits)
+            local = all(ins[1:]) and all(outs[:-1])
+            assert (span_mask(n, outs, ins) == full) == local
+
+
 def test_extensions_of_pinned_pair_are_fast(pinned_pair):
     # filtering all 10! permutations took 3.0-4.5 s (2-core Xeon VM)
     t0 = time.perf_counter()
@@ -278,6 +310,8 @@ def test_normalize_prefers_smallest_ready_vertex():
 def test_normalize_still_validates():
     with pytest.raises(PathConditionViolation):
         normalize_dag(3, 1, [(1, 3)], [1, 1, 1])
+    with pytest.raises(GraphError, match="vertex count must be positive"):
+        normalize_dag(0, 1, [], [])
 
 
 @settings(max_examples=40)

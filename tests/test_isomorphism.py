@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import identity_permutation, inverse_permutation, valid_graphs
+from daghash import isomorphism
 from daghash.graphs import (
     ComputationalGraph,
     GraphError,
@@ -106,6 +107,13 @@ def test_verify_witness_size_mismatch_is_error():
         verify_witness(g2, g3, identity_permutation(2))
     with pytest.raises(GraphError):
         verify_witness(g3, g3, identity_permutation(2))
+
+
+def test_unverified_witness_is_internal_error(triple, monkeypatch):
+    # the search's witness is re-checked before it is returned
+    monkeypatch.setattr(isomorphism, "verify_witness", lambda g1, g2, p: False)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        are_isomorphic(triple[0], triple[0])
 
 
 def test_witness_type_shape():

@@ -40,3 +40,13 @@ def test_run_search_space_writes_cli_bytes(tmp_path):
     assert done.returncode == 0, done.stderr
     assert main(["enumerate", *argv, "--reserved-io", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_module_runs_as_script(capsys):
+    # python -m daghash.cli exits with main's code and prints main's lines
+    argv = ["verify", "--max-vertices", "4", "--max-edges", "5", "--colors", "2"]
+    done = run_script("-m", "daghash.cli", *argv)
+    assert done.returncode == 0, done.stderr
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+    assert done.stdout.splitlines()[-1].startswith("all buckets pure (")
