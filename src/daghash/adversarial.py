@@ -13,7 +13,7 @@ component structure of the middle layer otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
     MAX_VERTICES, CapabilityExceeded, ComputationalGraph, adjacency_lists, pack_edges,
@@ -26,8 +26,7 @@ class ConstructionDegenerate(Exception):
     """The requested parameters cannot yield a non-isomorphic pair."""
 
 
-@dataclass(frozen=True, slots=True)
-class AdversarialPair:
+class AdversarialPair(NamedTuple):
     """Two same-size graphs with equal digests that are not isomorphic.
 
     certificate records the non-isomorphism evidence used when the pair was

@@ -36,8 +36,7 @@ import functools
 import itertools
 import operator
 import os
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graphs import (
     CapabilityExceeded,
@@ -55,8 +54,9 @@ from .isomorphism import ORACLE_MAX_VERTICES, OracleCapExceeded, are_isomorphic
 MAX_COLORINGS = 1 << 20
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationConfig:
+class EnumerationConfig(NamedTuple(
+    "EnumerationConfig", [("n_max", int), ("e_max", int), ("k", int), ("reserved_io", bool)]
+)):
     """Search space bounds: vertex budget, edge budget, interior palette.
 
     With reserved_io set, vertex 1 always takes color k+1 and vertex n color
@@ -64,18 +64,18 @@ class EnumerationConfig:
     full k+2 palette.  Otherwise every vertex draws from [1, k].
     """
 
-    n_max: int
-    e_max: int
-    k: int
-    reserved_io: bool = False
+    __slots__ = ()
+    # _replace builds through _make, which would skip the checks in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if self.n_max < 2:
-            raise ValueError(f"n_max must be at least 2, got {self.n_max}")
-        if self.e_max < 1:
-            raise ValueError(f"e_max must be at least 1, got {self.e_max}")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+    def __new__(cls, n_max: int, e_max: int, k: int, reserved_io: bool = False):
+        if n_max < 2:
+            raise ValueError(f"n_max must be at least 2, got {n_max}")
+        if e_max < 1:
+            raise ValueError(f"e_max must be at least 1, got {e_max}")
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        return super().__new__(cls, n_max, e_max, k, reserved_io)
 
     @property
     def palette(self) -> int:
@@ -93,16 +93,14 @@ class EnumerationConfig:
                 yield (first, *mid, last)
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalRecord:
+class CanonicalRecord(NamedTuple):
     """A digest together with the first graph observed to produce it."""
 
     invariant: Digest
     graph: ComputationalGraph
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """Per-n class counts and the oracle-checked duplicates."""
 
     per_n: dict[int, int]

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -82,14 +81,13 @@ def pack_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
     return int.from_bytes(packed, "little")
 
 
-@dataclass(frozen=True, slots=True)
-class ComputationalGraph:
+class ComputationalGraph(NamedTuple):
     """A colored DAG in canonical i < j edge representation.
 
     Instances are immutable; construct checked instances through
-    :func:`validate` or :func:`normalize_dag`.  The dataclass constructor
-    itself performs no validation, which keeps hashing usable on DAGs that
-    do not meet the path condition.
+    :func:`validate` or :func:`normalize_dag`.  The constructor itself
+    performs no validation, which keeps hashing usable on DAGs that do
+    not meet the path condition.
     """
 
     n: int
@@ -108,18 +106,19 @@ class ComputationalGraph:
         return self.bits.bit_count()
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
+class Permutation(NamedTuple("Permutation", [("mapping", tuple[int, ...])])):
     """A bijection on vertices 1..n; mapping[i-1] is the image of vertex i."""
 
-    mapping: tuple[int, ...]
+    __slots__ = ()
+    # _replace builds through _make, which would skip the check in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        mapping = tuple(self.mapping)
-        object.__setattr__(self, "mapping", mapping)
+    def __new__(cls, mapping: Iterable[int]):
+        mapping = tuple(mapping)
         n = len(mapping)
         if sorted(mapping) != list(range(1, n + 1)):
             raise GraphError(f"{mapping} is not a bijection on 1..{n}")
+        return super().__new__(cls, mapping)
 
     def __call__(self, i: int) -> int:
         return self.mapping[i - 1]

@@ -9,7 +9,7 @@ Factorial worst case; hard-capped at 12 vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
     CapabilityExceeded,
@@ -26,8 +26,7 @@ class OracleCapExceeded(CapabilityExceeded):
     """Graphs are larger than the brute-force search is willing to handle."""
 
 
-@dataclass(frozen=True, slots=True)
-class IsoWitness:
+class IsoWitness(NamedTuple):
     """Outcome of an isomorphism check: a witness permutation, or None."""
 
     permutation: Permutation | None

@@ -1,6 +1,8 @@
 """Enumeration: pruning, ordering, dedup counts, bucket verification."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +13,11 @@ from conftest import (
     iter_pairs,
     valid_graphs,
 )
+from daghash.adversarial import AdversarialPair
 from daghash.enumeration import (
     CanonicalRecord,
     EnumerationConfig,
+    EnumerationReport,
     FalseMerge,
     _surviving_matrices,
     enumerate_graphs,
@@ -35,7 +39,7 @@ from daghash.graphs import (
     validate,
 )
 from daghash.hashing import graph_invariant, invariant_from_lists
-from daghash.isomorphism import OracleCapExceeded, are_isomorphic
+from daghash.isomorphism import IsoWitness, OracleCapExceeded, are_isomorphic
 
 
 def test_config_validation():
@@ -45,6 +49,41 @@ def test_config_validation():
         EnumerationConfig(2, 0, 1)
     with pytest.raises(ValueError):
         EnumerationConfig(2, 1, 0)
+
+
+def test_config_defaults_and_replace_validates():
+    cfg = EnumerationConfig(3, 2, 1)
+    assert cfg.reserved_io is False
+    assert cfg == EnumerationConfig(n_max=3, e_max=2, k=1, reserved_io=False)
+    assert cfg._replace(reserved_io=True).palette == 3
+    with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+        cfg._replace(k=0)
+    with pytest.raises(GraphError):
+        Permutation((1, 2))._replace(mapping=(5, 5))
+
+
+G2 = ComputationalGraph(2, 1, 1, (1, 1))
+VALUE_TYPES = [
+    (G2, ("n", "k", "bits", "colors")),
+    (Permutation((2, 1)), ("mapping",)),
+    (EnumerationConfig(3, 2, 1), ("n_max", "e_max", "k", "reserved_io")),
+    (CanonicalRecord(b"\x00" * 16, G2), ("invariant", "graph")),
+    (EnumerationReport({2: 1}, 0), ("per_n", "duplicates")),
+    (IsoWitness(Permutation((1, 2))), ("permutation",)),
+    (AdversarialPair(G2, G2, "oracle", b"\x01" * 16), ("g1", "g2", "certificate", "digest")),
+]
+
+
+@pytest.mark.parametrize("value,fields", VALUE_TYPES, ids=[type(v).__name__ for v, _ in VALUE_TYPES])
+def test_value_type_contract(value, fields):
+    # Fields in declaration order; instances are tuples of them, immutable,
+    # and copy or pickle to an equal object of the same type.
+    assert tuple(value) == tuple(getattr(value, f) for f in fields)
+    assert repr(value).startswith(f"{type(value).__name__}({fields[0]}=")
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], getattr(value, fields[0]))
+    for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(again) is type(value) and again == value
 
 
 def test_config_palette_and_colorings():

@@ -1,7 +1,7 @@
 """Source hygiene: every imported name is used where it is imported, every
 public function of the package is part of its API, no package module imports
 another's underscore names, only graphs.py reads the packed layout, and
-importing the package loads no process-pool module."""
+importing the package loads no process-pool module and no dataclasses."""
 
 import ast
 import subprocess
@@ -154,18 +154,35 @@ def test_no_private_names_across_modules():
     assert not found, "private names imported across modules:\n" + "\n".join(found)
 
 
+def loaded_on_import(modules: tuple[str, ...]) -> str:
+    """Which of modules `import daghash, daghash.cli` loads under python -S,
+    printed as a list."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import daghash, daghash.cli; "
+        f"print([m for m in {modules!r} if m in sys.modules])"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    return run.stdout.strip()
+
+
 # Only a run that builds a pool imports the pool modules; importing the
 # package and its command line, as every sequential run does, loads none.
 POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
 
 def test_import_loads_no_pool_modules():
-    code = (
-        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
-        "import daghash, daghash.cli; "
-        f"print([m for m in {POOL_MODULES!r} if m in sys.modules])"
-    )
-    run = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
-    )
-    assert run.stdout.strip() == "[]", run.stdout
+    loaded = loaded_on_import(POOL_MODULES)
+    assert loaded == "[]", loaded
+
+
+# The value types are NamedTuples, so importing the package loads neither
+# dataclasses nor the inspect module it pulls in.
+CLASS_BUILDER_MODULES = ("dataclasses", "inspect")
+
+
+def test_import_loads_no_dataclasses():
+    loaded = loaded_on_import(CLASS_BUILDER_MODULES)
+    assert loaded == "[]", loaded
