@@ -11,6 +11,7 @@ import time
 
 from daghash.enumeration import EnumerationConfig, enumerate_graphs
 from daghash.formats import record_line, summary_line
+from daghash.hashing import BACKENDS
 
 
 def main():
@@ -20,7 +21,7 @@ def main():
     ap.add_argument("--colors", type=int, default=3)
     ap.add_argument("--plain-palette", action="store_true",
                     help="do not reserve input/output colors")
-    ap.add_argument("--backend", default="md5", choices=("md5", "concat"))
+    ap.add_argument("--backend", default="md5", choices=BACKENDS)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", help="write JSONL records here")
     args = ap.parse_args()

@@ -81,7 +81,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, metavar="D")
     p.add_argument("--size", type=int, metavar="M")
     p.add_argument("--out", metavar="FILE", help="write the pair JSON here")
-    p.set_defaults(func=_cmd_adversarial)
+    p.set_defaults(func=_cmd_adversarial, error=p.error)
 
     return top
 
@@ -155,9 +155,9 @@ def _cmd_verify(args) -> int:
 def _cmd_adversarial(args) -> int:
     wants_family = args.degree is not None or args.size is not None
     if args.figure2 == wants_family:
-        _parser().error("give either --figure2 or both --degree and --size")
+        args.error("give either --figure2 or both --degree and --size")
     if wants_family and (args.degree is None or args.size is None):
-        _parser().error("--degree and --size go together")
+        args.error("--degree and --size go together")
     try:
         if args.figure2:
             pair = counterexample_pair()

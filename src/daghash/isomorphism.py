@@ -12,11 +12,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import (
-    CapabilityExceeded,
-    ComputationalGraph,
-    GraphError,
-    Permutation,
-    adjacency_lists,
+    CapabilityExceeded, ComputationalGraph, GraphError, NotLinearExtension, Permutation,
+    adjacency_lists, apply_permutation,
 )
 
 ORACLE_MAX_VERTICES = 12
@@ -37,21 +34,19 @@ class IsoWitness(NamedTuple):
 
 
 def verify_witness(g1: ComputationalGraph, g2: ComputationalGraph, p: Permutation) -> bool:
-    """True iff p preserves adjacency and coloring between g1 and g2.
+    """True iff p, through apply_permutation, carries g1 onto g2's bits and colors.
 
-    p must carry g1's edge set onto g2's edge set.  A g1 edge (i, j) that p
-    reverses maps to a pair (a, b) with a > b, which g2's i < j edge set
-    never holds, so it never matches.
+    The palette k is ignored, and a p that reverses an edge has no image.
+    On a ComputationalGraph built directly, bits past its n(n-1)/2 pairs
+    give False and over MAX_VERTICES vertices raise CapabilityExceeded.
     """
-    n = g1.n
-    if g2.n != n:
-        raise GraphError(f"graphs have different vertex counts: {n} vs {g2.n}")
-    if len(p.mapping) != n:
-        raise GraphError(f"permutation acts on {len(p.mapping)} vertices, graphs have {n}")
-    mapping = p.mapping
-    if any(g1.colors[i] != g2.colors[mapping[i] - 1] for i in range(n)):
+    if g2.n != g1.n:
+        raise GraphError(f"graphs have different vertex counts: {g1.n} vs {g2.n}")
+    try:
+        image = apply_permutation(g1, p)
+    except NotLinearExtension:
         return False
-    return {(mapping[i - 1], mapping[j - 1]) for i, j in g1.edges} == set(g2.edges)
+    return image.bits == g2.bits and image.colors == g2.colors
 
 
 def are_isomorphic(g1: ComputationalGraph, g2: ComputationalGraph) -> IsoWitness:

@@ -134,6 +134,13 @@ def test_huge_vertex_count_is_input_error(tmp_path, command, capsys):
     assert "expected 1000000000 colors" in capsys.readouterr().err
 
 
+def test_zero_color_count_is_input_error(tmp_path, capsys):
+    path = tmp_path / "nocolors.json"
+    path.write_text(json.dumps({"n": 2, "k": 0, "colors": [1, 1], "edges": [[1, 2]]}))
+    assert main(["hash", str(path)]) == 2
+    assert "color count must be positive, got 0" in capsys.readouterr().err
+
+
 DUPLICATE_EDGE = {"n": 3, "k": 1, "colors": [1, 1, 1], "edges": [[1, 2], [2, 3], [1, 2]]}
 
 
@@ -575,7 +582,8 @@ def test_adversarial_flag_conflicts(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    capsys.readouterr()
+    # the usage line names the subcommand, as argparse's own errors do
+    assert capsys.readouterr().err.startswith("usage: daghash adversarial")
 
 
 def test_unknown_command_exits_two(capsys):

@@ -109,6 +109,28 @@ def test_verify_witness_size_mismatch_is_error():
         verify_witness(g3, g3, identity_permutation(2))
 
 
+def test_verify_witness_matches_edge_set_definition(small_corpus):
+    # every permutation, reversing ones and non-witnesses included, of every
+    # pair of classes with n <= 4 and equal vertex and edge counts, and of
+    # each class against its images under its linear extensions
+    graphs = [rec.graph for rec in small_corpus if rec.graph.n <= 4]
+    pairs = [
+        (g1, g2) for g1 in graphs for g2 in graphs
+        if g1.n == g2.n and g1.bits.bit_count() == g2.bits.bit_count()
+    ]
+    pairs += [(g, apply_permutation(g, q)) for g in graphs for q in linear_extensions(g)]
+    witnesses = 0
+    for g1, g2 in pairs:
+        target = set(g2.edges)
+        for mapping in itertools.permutations(range(1, g1.n + 1)):
+            expected = all(
+                g1.colors[i] == g2.colors[mapping[i] - 1] for i in range(g1.n)
+            ) and {(mapping[i - 1], mapping[j - 1]) for i, j in g1.edges} == target
+            assert verify_witness(g1, g2, Permutation(mapping)) == expected
+            witnesses += expected
+    assert witnesses > len(graphs)
+
+
 def test_unverified_witness_is_internal_error(triple, monkeypatch):
     # the search's witness is re-checked before it is returned
     monkeypatch.setattr(isomorphism, "verify_witness", lambda g1, g2, p: False)
