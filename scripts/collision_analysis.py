@@ -50,10 +50,12 @@ def main():
                     help="family degree, repeatable (paired with --size)")
     ap.add_argument("--size", type=int, action="append", default=None)
     args = ap.parse_args()
+    if len(args.degree or []) != len(args.size or []):
+        ap.error("--degree and --size must be given the same number of times")
 
     show_pair("pinned pair", counterexample_pair())
-    if args.degree or args.size:
-        instances = list(zip(args.degree or [], args.size or []))
+    if args.degree:
+        instances = list(zip(args.degree, args.size))
     else:
         instances = [(2, 6), (3, 6), (3, 8)]
     for d, m in instances:

@@ -116,6 +116,9 @@ class Permutation(NamedTuple("Permutation", [("mapping", tuple[int, ...])])):
     def __new__(cls, mapping: Iterable[int]):
         mapping = tuple(mapping)
         n = len(mapping)
+        # Sorting alone would take 1.0 and True for 1.
+        if not {int}.issuperset(map(type, mapping)):
+            raise GraphError(f"{mapping} has an entry that is not an int")
         if sorted(mapping) != list(range(1, n + 1)):
             raise GraphError(f"{mapping} is not a bijection on 1..{n}")
         return super().__new__(cls, mapping)
@@ -148,6 +151,31 @@ def neighbor_lists_from_bits(n: int, bits: int) -> tuple[list[list[int]], list[l
         ins[j].append(i)
         t = s.find("1", t + 1, m)
     return outs, ins
+
+
+def neighbor_rows_from_bits(n: int, bits: int) -> tuple[list[int], list[int]]:
+    """Decode a packed bit matrix into 0-based out-neighbor bitmask rows (bit
+    j of rows[i] is the edge i -> j) and in-degrees.
+
+    The pass of neighbor_lists_from_bits, with no lists to fill: O(n^2)
+    for the pass, plus one OR into an n-bit row per edge, O(edges * n / 30)
+    word operations.
+    """
+    rows = [0] * n
+    indeg = [0] * n
+    s = bin(bits)[:1:-1]
+    m = pair_count(n)
+    i, end = 0, n - 1
+    t = s.find("1", 0, m)
+    while t >= 0:
+        while t >= end:
+            i += 1
+            end += n - 1 - i
+        j = t - end + n
+        rows[i] |= 1 << j
+        indeg[j] += 1
+        t = s.find("1", t + 1, m)
+    return rows, indeg
 
 
 def span_mask(n: int, outs: Sequence[Sequence[int]], ins: Sequence[Sequence[int]]) -> int:
@@ -208,17 +236,19 @@ def apply_permutation(g: ComputationalGraph, p: Permutation) -> ComputationalGra
     edge is reversed; raises NotLinearExtension otherwise.
     """
     mapping = p.mapping
-    if len(mapping) != g.n:
-        raise GraphError(f"permutation acts on {len(mapping)} vertices, graph has {g.n}")
     n = g.n
+    if len(mapping) != n:
+        raise GraphError(f"permutation acts on {len(mapping)} vertices, graph has {n}")
     image = []
-    for i, j in g.edges:
-        a, b = mapping[i - 1], mapping[j - 1]
-        if a >= b:
-            raise NotLinearExtension(
-                f"edge ({i}, {j}) maps to ({a}, {b}), reversing the order"
-            )
-        image.append((a, b))
+    for i, row in enumerate(neighbor_lists_from_bits(n, g.bits)[0]):
+        a = mapping[i]
+        for j in row:
+            b = mapping[j]
+            if a >= b:
+                raise NotLinearExtension(
+                    f"edge ({i + 1}, {j + 1}) maps to ({a}, {b}), reversing the order"
+                )
+            image.append((a, b))
     bits = pack_edges(n, image)
     new_colors = [0] * n
     for i in range(n):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .graphs import (
     CapabilityExceeded, ComputationalGraph, GraphError, NotLinearExtension, Permutation,
-    adjacency_lists, apply_permutation,
+    apply_permutation, neighbor_rows_from_bits,
 )
 
 ORACLE_MAX_VERTICES = 12
@@ -64,17 +64,23 @@ def are_isomorphic(g1: ComputationalGraph, g2: ComputationalGraph) -> IsoWitness
             f"{n} vertices exceeds the brute-force cap of {ORACLE_MAX_VERTICES}"
         )
 
-    # Per vertex: a bitmask row over 0-based targets (bit j of rows[i] is the
-    # edge i -> j) and the (color, out-degree, in-degree) signature.
+    # One pass over each packed matrix gives, per vertex, a bitmask row over
+    # 0-based targets (bit j of rows[i] is the edge i -> j) and the in-degree,
+    # hence the (color, out-degree, in-degree) signature.
     sides = []
     for g in (g1, g2):
-        outs, ins = adjacency_lists(g)
-        rows = [sum([1 << j for j in row]) for row in outs]
-        sides.append((rows, [(g.colors[v], len(outs[v]), len(ins[v])) for v in range(n)]))
+        rows, indeg = neighbor_rows_from_bits(n, g.bits)
+        colors = g.colors
+        sides.append((rows, [(colors[v], rows[v].bit_count(), indeg[v]) for v in range(n)]))
     (rows1, sig1), (rows2, sig2) = sides
     if sorted(sig1) != sorted(sig2):
         return IsoWitness(None)
-    candidates = [[w for w in range(n) if sig2[w] == sig1[v]] for v in range(n)]
+    # Candidates group by signature: one map from a signature to g2's
+    # vertices with it, in ascending order, serves every vertex of g1.
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for w, s in enumerate(sig2):
+        groups.setdefault(s, []).append(w)
+    candidates = [groups[s] for s in sig1]
 
     # mapping[u] is vertex u's image.  Rows hold only i < j bits, so the edge
     # test reads 0 for a > w and the reversed-edge test reads 0 for w > a.

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import identity_permutation, inverse_permutation, valid_graphs
-from daghash import isomorphism
+from daghash import enumeration, isomorphism
+from daghash.enumeration import EnumerationConfig, verify_buckets
 from daghash.graphs import (
     ComputationalGraph,
     GraphError,
@@ -249,3 +250,37 @@ def test_pruned_oracle_agrees_with_naive_search(small_corpus):
     for g1, g2 in pairs:
         w = are_isomorphic(g1, g2).permutation
         assert (None if w is None else w.mapping) == _naive_isomorphic(g1, g2)
+
+
+def test_oracle_on_verify_pairs(monkeypatch):
+    """The pairs verify itself checks: every witness is the naive search's,
+    a recolored interior vertex makes the pair negative, and swapping two
+    interior colors leaves the naive search's verdict and witness."""
+    pairs = []
+
+    def record(rep, dup):
+        pairs.append((rep, dup))
+        return are_isomorphic(rep, dup)
+
+    monkeypatch.setattr(enumeration, "are_isomorphic", record)
+    report = verify_buckets(EnumerationConfig(5, 7, 2, True))
+    assert len(pairs) == report.duplicates == 190
+    moved, swap_verdicts = 0, set()
+    for rep, dup in pairs:
+        mapping = are_isomorphic(rep, dup).permutation.mapping
+        assert mapping == _naive_isomorphic(rep, dup)
+        moved += mapping != tuple(range(1, rep.n + 1))
+        colors = list(dup.colors)
+        colors[1] = 3 - colors[1]  # interior colors are 1 and 2
+        recolored = dup._replace(colors=tuple(colors))
+        assert not are_isomorphic(rep, recolored).isomorphic
+        assert _naive_isomorphic(rep, recolored) is None
+        v = next((v for v in range(2, dup.n - 1) if dup.colors[v] != dup.colors[1]), None)
+        if v is not None:
+            colors = list(dup.colors)
+            colors[1], colors[v] = colors[v], colors[1]
+            swapped = dup._replace(colors=tuple(colors))
+            w = are_isomorphic(rep, swapped).permutation
+            assert (None if w is None else w.mapping) == _naive_isomorphic(rep, swapped)
+            swap_verdicts.add(w is not None)
+    assert moved > 0 and swap_verdicts == {True, False}

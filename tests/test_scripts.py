@@ -26,6 +26,15 @@ def test_collision_analysis_shows_pinned_collision():
     assert "equal: True" in pinned
 
 
+def test_collision_analysis_refuses_unpaired_flags():
+    # each --degree pairs with one --size, so unequal counts are refused
+    for argv in (["--degree", "3"], ["--size", "6"], ["--degree", "2", "--size", "6", "--degree", "3"]):
+        done = run_script("scripts/collision_analysis.py", *argv)
+        assert done.returncode == 2, argv
+        assert done.stdout == ""
+        assert "--degree and --size must be given the same number of times" in done.stderr
+
+
 def test_run_search_space_help():
     done = run_script("scripts/run_search_space.py", "--help")
     assert done.returncode == 0, done.stderr
