@@ -4,6 +4,10 @@ Builds the pinned 10-vertex pair plus a few bipartite family instances
 and shows, round by round, how many distinct digests the refinement
 assigns inside each layer.  The counts stay at 1, which is exactly why
 the final digests collide even though the graphs are not isomorphic.
+
+Also shows the least collision among uncolored path-condition DAGs, an
+8-vertex, 10-edge pair: refinement does not count triangles, and g1 has
+two transitive triangles where g2 has none.
 """
 
 import argparse
@@ -13,7 +17,15 @@ from daghash.adversarial import (
     counterexample_pair,
     middle_component_sizes,
 )
+from daghash.graphs import validate
 from daghash.hashing import digest_hex, graph_invariant, refinement_trace
+from daghash.isomorphism import are_isomorphic
+
+LEAST_PAIR = (
+    [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (4, 8), (5, 6), (5, 7), (6, 7), (7, 8)],
+    [(1, 2), (1, 3), (2, 4), (2, 7), (3, 5), (3, 6), (4, 5), (5, 8), (6, 7), (7, 8)],
+)
+RESERVED_IO = (4, 1, 1, 1, 1, 1, 1, 5)
 
 
 def layer_profile(g, degree_layers):
@@ -44,6 +56,29 @@ def show_pair(name, pair):
     print()
 
 
+def transitive_triangles(g):
+    """Edge triples a -> b -> c with the shortcut a -> c."""
+    edges = set(g.edges)
+    return sum((a, c) in edges for a, b in edges for b2, c in edges if b == b2)
+
+
+def show_least_pair():
+    g1, g2 = (validate(8, 1, edges, [1] * 8) for edges in LEAST_PAIR)
+    print(f"== least collision: n={g1.n}, {g1.edge_count} edges each ==")
+    for name, g in (("g1", g1), ("g2", g2)):
+        print(f"{name} edges: " + " ".join(f"({i},{j})" for i, j in g.edges))
+    d1, d2 = graph_invariant(g1), graph_invariant(g2)
+    print(f"digest g1: {digest_hex(d1)}")
+    print(f"digest g2: {digest_hex(d2)}")
+    print(f"equal: {d1 == d2}")
+    print(f"concat equal: {graph_invariant(g1, 'concat') == graph_invariant(g2, 'concat')}")
+    print(f"isomorphic: {are_isomorphic(g1, g2).isomorphic}")
+    r1, r2 = (validate(8, 5, edges, RESERVED_IO) for edges in LEAST_PAIR)
+    print(f"equal with colors {RESERVED_IO}: {graph_invariant(r1) == graph_invariant(r2)}")
+    print(f"transitive triangles: {transitive_triangles(g1)} vs {transitive_triangles(g2)}")
+    print()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--degree", type=int, action="append", default=None,
@@ -54,6 +89,7 @@ def main():
         ap.error("--degree and --size must be given the same number of times")
 
     show_pair("pinned pair", counterexample_pair())
+    show_least_pair()
     if args.degree:
         instances = list(zip(args.degree, args.size))
     else:

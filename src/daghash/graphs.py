@@ -233,12 +233,15 @@ def apply_permutation(g: ComputationalGraph, p: Permutation) -> ComputationalGra
     """Relabel vertices by p; the image keeps the i < j representation.
 
     Succeeds only when p is a linear extension of the DAG order, i.e. no
-    edge is reversed; raises NotLinearExtension otherwise.
+    edge is reversed; raises NotLinearExtension otherwise.  Raises
+    GraphError when p or g's colors do not cover exactly g's n vertices.
     """
     mapping = p.mapping
     n = g.n
     if len(mapping) != n:
         raise GraphError(f"permutation acts on {len(mapping)} vertices, graph has {n}")
+    if len(g.colors) != n:
+        raise GraphError(f"graph has {n} vertices and {len(g.colors)} colors")
     image = []
     for i, row in enumerate(neighbor_lists_from_bits(n, g.bits)[0]):
         a = mapping[i]

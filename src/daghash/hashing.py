@@ -19,9 +19,11 @@ bytes, making the encoding injective.  Two backends share this encoding:
 One loop, the ``_rounds`` generator, serves traces, one-shot and batch
 digests.  A one-shot digest keeps only the latest round, and an md5 round
 memoizes its inputs for that round alone, so its memory is linear in the
-graph.  ``invariant_from_lists``, the enumeration's md5 path, instead runs
-md5 code compiled per structure and cached until the next; it reads round 0
-from per-vertex tables by color.  md5 is CPython's ``_md5`` or ``hashlib.md5``.
+graph.  ``invariant_from_lists``, the enumeration's md5 path, instead runs a
+kernel per structure, cached until the next, built from compiled md5 rows:
+one function per vertex and neighbor lists, compiled once per n and shared
+by every structure with that row.  It reads round 0 from per-vertex tables
+by color.  md5 is CPython's ``_md5`` or ``hashlib.md5``.
 
 A final concat digest is written straight from round n-1: round n's digest
 of a vertex would only join its sorted neighbor digests and its own, so the
@@ -200,10 +202,12 @@ def invariant_from_lists(
     """Invariant digest from raw 0-based neighbor lists.
 
     Hot path of enumeration.  For md5, inputs seen before at this n are
-    answered from the digest table; otherwise a kernel compiled for (n, outs,
-    ins) runs, compiled anew whenever the structure differs from the last
-    one compiled.  Raises ValueError unless n is an int, outs, ins are n
-    lists of ints in range(n) and colors are n ints >= 0.
+    answered from the digest table; otherwise a kernel for (n, outs, ins)
+    runs, built anew whenever the structure differs from the last one built.
+    A kernel joins one md5 row function per vertex, and each row is compiled
+    once per (vertex, out-list, in-list) at this n and shared by every
+    structure that has it.  Raises ValueError unless n is an int, outs, ins
+    are n lists of ints in range(n) and colors are n ints >= 0.
     """
     global _kernel, _table
     if type(n) is not int or len(outs) != n or len(ins) != n or len(colors) != n:
@@ -285,6 +289,7 @@ def graph_invariants(
 
 _kernel = (None,) * 5  # (structure, kernel, outs, ins, table dict); results never depend on it
 _table = (None, {})  # (n, {structure: {colors: digest}}); results never depend on it
+_rows = (None, None, {})  # (n, maker, {(i, outs[i], ins[i]): row}); results never depend on it
 
 
 class _Round0(dict):
@@ -297,22 +302,41 @@ class _Round0(dict):
 
 
 def _compile_kernel(n, outs, ins):
-    # Source from n, the checked indices and LE64 constants only.  A round is
-    # one tuple assignment, so every update reads the pre-round digests.
+    # Source from n, the checked indices and LE64 constants only.  The maker,
+    # compiled once per n, closes a kernel over n row functions and round-0
+    # tables; a round is one tuple assignment, so every update reads the
+    # pre-round digests.  Row i's function digests vertex i's round input
+    # from all n pre-round digests, so it is compiled once per (i, outs[i],
+    # ins[i]) and shared by every structure at this n that has the row.
+    # Maker and rows are dropped when n changes, as the digest table is.
+    global _rows
+    hs = "".join(f"h{i}, " for i in range(n))
+    if _rows[0] != n:
+        fs, rs = ("".join(f"{c}{i}, " for i in range(n)) for c in "fr")
+        src = f"def make({fs}{rs}):\n    def kernel(colors):\n" + "".join(
+            f"        h{i} = r{i}[colors[{i}]]\n" for i in range(n)
+        ) + f"        for _ in range({n}):\n            {hs}= " + "".join(
+            f"f{i}({hs}), " for i in range(n)
+        ) + f"\n        return md5({_le64(n)!r} + join(sorted(({hs})))).digest()\n"
+        src += "    return kernel\n"
+        exec(src, ns := {"md5": _md5_new, "join": b"".join})
+        _rows = (n, ns["make"], {})
+    _, make, rows = _rows
+
     def group(js):
         hs = ", ".join(f"h{j}" for j in js)
         if len(js) == 2:
             return "*((h{0}, h{1}) if h{0} < h{1} else (h{1}, h{0})), ".format(*js)
         return f"*sorted(({hs})), " if len(js) > 1 else f"{hs}, " if js else ""
 
-    hs = "".join(f"h{i}, " for i in range(n))
     pre = [(_le64(len(outs[i])), _le64(len(ins[i]))) for i in range(n)]
-    src = "def kernel(colors):\n" + "".join(
-        f"    h{i} = r{i}[colors[{i}]]\n" for i in range(n)
-    ) + f"    for _ in range({n}):\n        {hs}= " + "".join(
-        f"md5(join(({o!r}, {group(outs[i])}{d!r}, {group(ins[i])}h{i}))).digest(), "
-        for i, (o, d) in enumerate(pre)
-    ) + f"\n    return md5({_le64(n)!r} + join(sorted(({hs})))).digest()\n"
-    tables = {f"r{i}": _Round0(o + d) for i, (o, d) in enumerate(pre)}
-    exec(src, ns := {"md5": _md5_new, "join": b"".join, **tables})
-    return ns["kernel"]
+    keys = [(i, outs[i], ins[i]) for i in range(n)]
+    if new := [i for i in range(n) if keys[i] not in rows]:
+        src = "".join(
+            f"f{i} = lambda {hs}: md5(join(({pre[i][0]!r}, {group(outs[i])}"
+            f"{pre[i][1]!r}, {group(ins[i])}h{i}))).digest()\n"
+            for i in new
+        )
+        exec(src, ns := {"md5": _md5_new, "join": b"".join})
+        rows.update((keys[i], ns[f"f{i}"]) for i in new)
+    return make(*[rows[key] for key in keys], *[_Round0(o + d) for o, d in pre])

@@ -99,9 +99,11 @@ def triple_graphs():
 
 @pytest.fixture(autouse=True)
 def empty_hash_caches(monkeypatch):
-    """Every test starts with no cached kernel and an empty digest table."""
+    """Every test starts with no cached kernel, an empty digest table and no
+    compiled md5 rows."""
     monkeypatch.setattr(hashing, "_kernel", (None,) * 5)
     monkeypatch.setattr(hashing, "_table", (None, {}))
+    monkeypatch.setattr(hashing, "_rows", (None, None, {}))
 
 
 @pytest.fixture(scope="session")

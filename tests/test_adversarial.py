@@ -46,6 +46,32 @@ def test_pinned_pair_not_isomorphic(pinned_pair):
     assert not are_isomorphic(pinned_pair.g1, pinned_pair.g2).isomorphic
 
 
+# The least collision among uncolored path-condition DAGs: 8 vertices and
+# 10 edges (none exists at n <= 7, nor at n = 8 with fewer edges).
+LEAST_G1 = [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (4, 8), (5, 6), (5, 7), (6, 7), (7, 8)]
+LEAST_G2 = [(1, 2), (1, 3), (2, 4), (2, 7), (3, 5), (3, 6), (4, 5), (5, 8), (6, 7), (7, 8)]
+
+
+def transitive_triangles(g):
+    edges = set(g.edges)
+    return sum((a, c) in edges for a, b in edges for b2, c in edges if b == b2)
+
+
+def test_least_collision_pinned():
+    # refinement collides, not md5: the concat digests are equal too.  It
+    # cannot count triangles, and g1 has two transitive ones where g2 has none
+    g1, g2 = (validate(8, 1, edges, [1] * 8) for edges in (LEAST_G1, LEAST_G2))
+    assert graph_invariant(g1) == graph_invariant(g2)
+    assert graph_invariant(g1).hex() == "abfbc6c6bd8dec2a47a60cbf4fd8fcd7"
+    assert graph_invariant(g1, "concat") == graph_invariant(g2, "concat")
+    assert not are_isomorphic(g1, g2).isomorphic
+    assert (transitive_triangles(g1), transitive_triangles(g2)) == (2, 0)
+    io = (4, 1, 1, 1, 1, 1, 1, 5)
+    r1, r2 = (validate(8, 5, edges, io) for edges in (LEAST_G1, LEAST_G2))
+    assert graph_invariant(r1) == graph_invariant(r2)
+    assert not are_isomorphic(r1, r2).isomorphic
+
+
 def test_certified_rejects_non_colliding_pair(pinned_pair):
     g1 = pinned_pair.g1
     recolored = ComputationalGraph(g1.n, g1.k, g1.bits, (3, 2) + g1.colors[2:])

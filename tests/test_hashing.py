@@ -329,8 +329,56 @@ def test_color_beyond_le64_leaves_no_table_entry():
     key, kernel, _, _, known = hashing._kernel
     assert key == (2, outs, ins) and known == {}
     # vertex 0's round-0 table holds color 1; vertex 1's holds nothing
-    assert [list(kernel.__globals__[f"r{i}"]) for i in range(2)] == [[1], []]
+    assert [list(closure_cells(kernel)[f"r{i}"]) for i in range(2)] == [[1], []]
     assert invariant_from_lists(2, outs, ins, [1, 1]) == graph_invariant(g)
+
+
+def closure_cells(f):
+    """The values of the variables f closes over, by name."""
+    return {name: cell.cell_contents for name, cell in zip(f.__code__.co_freevars, f.__closure__)}
+
+
+def kernel_rows(g):
+    """The row cache keys of g's structure: (vertex, out-list, in-list)."""
+    outs, ins = (tuple(map(tuple, lists)) for lists in adjacency_lists(g))
+    return [(i, outs[i], ins[i]) for i in range(g.n)]
+
+
+def test_structures_sharing_a_row_compile_it_once():
+    # a and b differ in vertices 2 and 3 only: the rows of vertices 1 and 4
+    # (out {2, 3}, and in {2, 3}) and their functions are shared
+    a = validate(4, 3, {(1, 2), (1, 3), (2, 4), (3, 4)}, [1, 2, 3, 1])
+    b = validate(4, 3, {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)}, [1, 2, 3, 1])
+    shared = set(kernel_rows(a)) & set(kernel_rows(b))
+    assert {key[0] for key in shared} == {0, 3}
+    assert invariant_from_lists(4, *adjacency_lists(a), a.colors) == graph_invariant(a)
+    n, make, rows = hashing._rows
+    before = dict(rows)
+    assert n == 4 and set(before) == set(kernel_rows(a))
+    assert invariant_from_lists(4, *adjacency_lists(b), b.colors) == graph_invariant(b)
+    assert hashing._rows[1] is make and hashing._rows[2] is rows
+    assert set(rows) == set(kernel_rows(a)) | set(kernel_rows(b))
+    assert all(rows[key] is before[key] for key in before)
+    kernel = closure_cells(hashing._kernel[1])
+    assert [kernel[f"f{key[0]}"] is before.get(key) for key in kernel_rows(b)] == [
+        key in shared for key in kernel_rows(b)
+    ]
+
+
+def test_row_cache_dropped_when_n_changes():
+    a = validate(4, 1, {(1, 2), (2, 3), (3, 4)}, [1] * 4)
+    b = validate(5, 1, {(1, 2), (2, 3), (3, 4), (4, 5)}, [1] * 5)
+    assert invariant_from_lists(4, *adjacency_lists(a), a.colors) == graph_invariant(a)
+    n, make, rows = hashing._rows
+    assert n == 4 and set(rows) == set(kernel_rows(a))
+    assert invariant_from_lists(5, *adjacency_lists(b), b.colors) == graph_invariant(b)
+    assert hashing._rows[0] == 5 and set(hashing._rows[2]) == set(kernel_rows(b))
+    assert hashing._rows[1] is not make
+    # back at n = 4, a's rows and maker are compiled anew
+    assert invariant_from_lists(4, *adjacency_lists(a), a.colors) == graph_invariant(a)
+    assert hashing._rows[0] == 4 and set(hashing._rows[2]) == set(kernel_rows(a))
+    assert hashing._rows[1] is not make
+    assert not any(hashing._rows[2][key] is rows[key] for key in rows)
 
 
 @pytest.mark.parametrize("colors", [(1, 2, 2, 3), (1, 2, 3, 4), (1, 3, 2, 4)])

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used where it is imported, every
 public function of the package is part of its API, no package module imports
-another's underscore names, only graphs.py reads the packed layout, and
-importing the package loads no process-pool module and no dataclasses."""
+another's underscore names, only graphs.py reads the packed layout, only the
+md5 kernel builder generates code, and importing the package loads no
+process-pool module and no dataclasses."""
 
 import ast
 import subprocess
@@ -116,6 +117,51 @@ def test_packed_layout_read_in_one_place():
         and "pair_index" in names_read(p.read_text(encoding="utf-8"))
     ]
     assert not found, "modules reading pair_index:\n" + "\n".join(found)
+
+
+# Code generation stays in one audited place: the md5 kernel builder, whose
+# source holds only checked ints and LE64 constants.
+CODEGEN = {"exec", "eval", "compile"}
+CODEGEN_HOMES = {("hashing", "_compile_kernel")}
+
+
+def codegen_uses(source: str) -> list[tuple[str | None, str]]:
+    """(enclosing module-level def or class, or None; name) for every Name
+    or Attribute node that reads exec, eval or compile."""
+    found = []
+    for stmt in ast.parse(source).body:
+        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None
+            )
+            if name in CODEGEN:
+                found.append((owner, name))
+    return found
+
+
+def test_codegen_uses_detected():
+    src = (
+        "import re\nx = eval('1')\ndef f():\n    exec('y = 1')\n"
+        "class C:\n    p = re.compile('a')\ndef g():\n    return compile\ndef h(): pass\n"
+    )
+    assert codegen_uses(src) == [(None, "eval"), ("f", "exec"), ("C", "compile"), ("g", "compile")]
+
+
+def test_code_generated_in_one_place():
+    uses = {
+        p.stem: codegen_uses(p.read_text(encoding="utf-8"))
+        for p in sorted((ROOT / "src/daghash").glob("*.py"))
+    }
+    found = [
+        f"{stem}.{owner}: {name}"
+        for stem, names in uses.items()
+        for owner, name in names
+        if (stem, owner) not in CODEGEN_HOMES
+    ]
+    assert not found, "code generation outside the kernel builder:\n" + "\n".join(found)
+    assert ("_compile_kernel", "exec") in uses["hashing"]
 
 
 def private_imports(source: str) -> list[str]:

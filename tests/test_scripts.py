@@ -26,6 +26,23 @@ def test_collision_analysis_shows_pinned_collision():
     assert "equal: True" in pinned
 
 
+def test_collision_analysis_shows_least_collision():
+    done = run_script("scripts/collision_analysis.py")
+    assert done.returncode == 0, done.stderr
+    least = done.stdout.split("\n\n")[1].splitlines()
+    assert least[0] == "== least collision: n=8, 10 edges each =="
+    assert least[1] == "g1 edges: (1,2) (1,5) (2,3) (2,4) (3,4) (4,8) (5,6) (5,7) (6,7) (7,8)"
+    assert least[2] == "g2 edges: (1,2) (1,3) (2,4) (2,7) (3,5) (3,6) (4,5) (5,8) (6,7) (7,8)"
+    assert least[3][len("digest g1: "):] == least[4][len("digest g2: "):]
+    assert least[5:] == [
+        "equal: True",
+        "concat equal: True",
+        "isomorphic: False",
+        "equal with colors (4, 1, 1, 1, 1, 1, 1, 5): True",
+        "transitive triangles: 2 vs 0",
+    ]
+
+
 def test_collision_analysis_refuses_unpaired_flags():
     # each --degree pairs with one --size, so unequal counts are refused
     for argv in (["--degree", "3"], ["--size", "6"], ["--degree", "2", "--size", "6", "--degree", "3"]):
