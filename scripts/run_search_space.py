@@ -1,7 +1,7 @@
 """Time a full enumeration run and print the per-size class table.
 
 Defaults reproduce the reserved-io search space with up to 7 vertices,
-9 edges, and 3 operation colors (423,624 classes, about 37 s and 93 MB
+9 edges, and 3 operation colors (423,624 classes, about 31 s and 95 MB
 peak RSS on one core of a 2-core Intel Xeon virtual machine).  Pass --out to keep the JSONL records.
 """
 

@@ -69,12 +69,13 @@ class EnumerationConfig(NamedTuple(
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, n_max: int, e_max: int, k: int, reserved_io: bool = False):
-        if n_max < 2:
-            raise ValueError(f"n_max must be at least 2, got {n_max}")
-        if e_max < 1:
-            raise ValueError(f"e_max must be at least 1, got {e_max}")
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
+        for name, v, least in (("n_max", n_max, 2), ("e_max", e_max, 1), ("k", k, 1)):
+            if type(v) is not int:
+                raise ValueError(f"{name} must be an int, got {v!r}")
+            if v < least:
+                raise ValueError(f"{name} must be at least {least}, got {v}")
+        if type(reserved_io) is not bool:
+            raise ValueError(f"reserved_io must be a bool, got {reserved_io!r}")
         return super().__new__(cls, n_max, e_max, k, reserved_io)
 
     @property

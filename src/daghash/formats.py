@@ -82,7 +82,7 @@ def load_graph(path, normalize: bool = False) -> ComputationalGraph:
 
 @functools.lru_cache(maxsize=1)
 def _edges_text(n: int, bits: int) -> str:
-    return json.dumps(ComputationalGraph(n, 0, bits, ()).edges)
+    return json.dumps(ComputationalGraph(n, 0, bits, (0,) * n).edges)
 
 
 def record_line(digest: Digest, g: ComputationalGraph) -> str:

@@ -81,19 +81,28 @@ def pack_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
     return int.from_bytes(packed, "little")
 
 
-class ComputationalGraph(NamedTuple):
+class ComputationalGraph(NamedTuple(
+    "ComputationalGraph", [("n", int), ("k", int), ("bits", int), ("colors", tuple[int, ...])]
+)):
     """A colored DAG in canonical i < j edge representation.
 
-    Instances are immutable; construct checked instances through
-    :func:`validate` or :func:`normalize_dag`.  The constructor itself
-    performs no validation, which keeps hashing usable on DAGs that do
-    not meet the path condition.
+    Instances are immutable.  The constructor raises GraphError unless n is
+    an int, colors has n entries and bits sets only the n(n-1)/2 pairs; the
+    palette and the path condition are left to :func:`validate` and
+    :func:`normalize_dag`, so hashing takes any i < j DAG.
     """
 
-    n: int
-    k: int
-    bits: int
-    colors: tuple[int, ...]
+    __slots__ = ()
+    # _replace builds through _make, which would skip the check in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, n: int, k: int, bits: int, colors: tuple[int, ...]):
+        if type(n) is not int or len(colors) != n or bits >> (n * (n - 1) >> 1):
+            raise GraphError(
+                f"no graph has n = {n!r}, {len(colors)} colors and bits of bit length"
+                f" {bits.bit_length()}{' (negative)' if bits < 0 else ''}"
+            )
+        return tuple.__new__(cls, (n, k, bits, colors))
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -234,14 +243,12 @@ def apply_permutation(g: ComputationalGraph, p: Permutation) -> ComputationalGra
 
     Succeeds only when p is a linear extension of the DAG order, i.e. no
     edge is reversed; raises NotLinearExtension otherwise.  Raises
-    GraphError when p or g's colors do not cover exactly g's n vertices.
+    GraphError when p does not act on exactly g's n vertices.
     """
     mapping = p.mapping
     n = g.n
     if len(mapping) != n:
         raise GraphError(f"permutation acts on {len(mapping)} vertices, graph has {n}")
-    if len(g.colors) != n:
-        raise GraphError(f"graph has {n} vertices and {len(g.colors)} colors")
     image = []
     for i, row in enumerate(neighbor_lists_from_bits(n, g.bits)[0]):
         a = mapping[i]
@@ -253,10 +260,8 @@ def apply_permutation(g: ComputationalGraph, p: Permutation) -> ComputationalGra
                 )
             image.append((a, b))
     bits = pack_edges(n, image)
-    new_colors = [0] * n
-    for i in range(n):
-        new_colors[mapping[i] - 1] = g.colors[i]
-    return ComputationalGraph(n, g.k, bits, tuple(new_colors))
+    colors = tuple([c for _, c in sorted(zip(mapping, g.colors))])
+    return ComputationalGraph(n, g.k, bits, colors)
 
 
 def _extensions(n: int, outs, ins) -> Iterator[tuple[int, ...]]:
@@ -399,7 +404,5 @@ def normalize_dag(
         stuck = sorted(v for v in range(1, n + 1) if new_index[v] == 0)
         raise CycleDetected(f"cycle through vertices {stuck}")
     relabeled = [(new_index[i], new_index[j]) for i, j in edge_set]
-    new_colors = [0] * n
-    for v in range(1, n + 1):
-        new_colors[new_index[v] - 1] = colors[v - 1]
+    new_colors = [c for _, c in sorted(zip(new_index[1:], colors))]
     return validate(n, k, relabeled, new_colors)

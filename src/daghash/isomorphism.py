@@ -37,9 +37,8 @@ def verify_witness(g1: ComputationalGraph, g2: ComputationalGraph, p: Permutatio
     """True iff p, through apply_permutation, carries g1 onto g2's bits and colors.
 
     The palette k is ignored, and a p that reverses an edge has no image.
-    On a ComputationalGraph built directly, bits past its n(n-1)/2 pairs
-    give False, over MAX_VERTICES vertices raise CapabilityExceeded, and
-    colors that are not n long raise GraphError in g1 and give False in g2.
+    The graphs' constructor has checked their shape; g1 over MAX_VERTICES
+    vertices raises CapabilityExceeded.
     """
     if g2.n != g1.n:
         raise GraphError(f"graphs have different vertex counts: {g1.n} vs {g2.n}")
@@ -55,12 +54,8 @@ def are_isomorphic(g1: ComputationalGraph, g2: ComputationalGraph) -> IsoWitness
 
     Returns the first witness in lexicographic order of the mapping, or a
     negative witness after exhausting all candidates.  Declared palette
-    sizes are ignored; only the concrete color values are compared.  Raises
-    GraphError when a graph's colors are not one per vertex.
+    sizes are ignored; only the concrete color values are compared.
     """
-    for g in (g1, g2):
-        if len(g.colors) != g.n:
-            raise GraphError(f"graph has {g.n} vertices and {len(g.colors)} colors")
     if g1.n != g2.n:
         return IsoWitness(None)
     n = g1.n

@@ -5,6 +5,7 @@ disabled) so a full run reads as a checklist.  Budgets are asserted, not
 advisory: a slow pass is a failure.
 """
 
+import hashlib
 import itertools
 import time
 from contextlib import contextmanager
@@ -30,6 +31,8 @@ SEARCH_SPACE_ARGS = [
 # prefix is re-proven pure by criterion 4's oracle sweep on every run
 SEARCH_SPACE_TOTAL = 423_624
 SEARCH_SPACE_PER_N = {2: 1, 3: 6, 4: 84, 5: 2_441, 6: 62_010, 7: 359_082}
+# the reference census file, byte for byte
+SEARCH_SPACE_SHA256 = "9dad824e44cf545acfd193a585f03fa4afa24db39148d876188c25b21a318d81"
 
 
 @contextmanager
@@ -119,8 +122,9 @@ def test_criterion_4_bucket_purity_reduced_scale(capsys):
 
 def test_criterion_5_search_space_census(search_space_run, capsys):
     out, elapsed = search_space_run
-    label = f"full reserved-io census matches pinned count, run took {elapsed:.0f}s"
+    label = f"full reserved-io census matches pinned count and bytes, run took {elapsed:.0f}s"
     with criterion(capsys, 5, label):
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SEARCH_SPACE_SHA256
         lines = out.read_text().splitlines()
         per_n, total = parse_summary_line(lines[-1])
         assert total == SEARCH_SPACE_TOTAL

@@ -141,6 +141,19 @@ def test_zero_color_count_is_input_error(tmp_path, capsys):
     assert "color count must be positive, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edges", [{"1": 2}, [1, 2], "[[1, 2]]", None])
+def test_edges_not_a_list_is_input_error(tmp_path, edges, capsys):
+    # [1, 2] is a list, so its entries are refused one by one instead
+    obj = {"n": 2, "k": 1, "colors": [1, 1], "edges": edges}
+    expected = "bad edge entry 1" if isinstance(edges, list) else "edges must be a list of"
+    with pytest.raises(GraphError, match=f"^{expected}"):
+        graph_from_dict(obj)
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps(obj))
+    assert main(["hash", str(path)]) == 2
+    assert expected in capsys.readouterr().err
+
+
 DUPLICATE_EDGE = {"n": 3, "k": 1, "colors": [1, 1, 1], "edges": [[1, 2], [2, 3], [1, 2]]}
 
 

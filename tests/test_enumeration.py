@@ -51,6 +51,21 @@ def test_config_validation():
         EnumerationConfig(2, 1, 0)
 
 
+# reserved_io="no" once reserved the I/O colors, e_max=5.5 ran, and
+# n_max=6.5 or k=2.0 failed with a TypeError deep in the scan.
+@pytest.mark.parametrize("field,value", [
+    ("n_max", 6.5), ("n_max", True), ("e_max", 5.5), ("e_max", "9"),
+    ("k", 2.0), ("k", False), ("reserved_io", "no"), ("reserved_io", 1),
+])
+def test_config_field_types(field, value):
+    cfg = EnumerationConfig(3, 2, 1)
+    message = rf"^{field} must be an? (int|bool), got {value!r}$"
+    with pytest.raises(ValueError, match=message):
+        EnumerationConfig(**{**cfg._asdict(), field: value})
+    with pytest.raises(ValueError, match=message):
+        cfg._replace(**{field: value})
+
+
 def test_config_defaults_and_replace_validates():
     cfg = EnumerationConfig(3, 2, 1)
     assert cfg.reserved_io is False

@@ -1,6 +1,8 @@
 """Graph model: packing, validation, relabeling, normalization."""
 
+import copy
 import itertools
+import pickle
 import random
 import time
 
@@ -55,6 +57,43 @@ def test_pack_edges_sets_pair_bits():
     assert g.edges == ((1, 2), (2, 3))
     assert g.edge_count == 2
     assert has_edge(g, 1, 2) and not has_edge(g, 1, 3)
+
+
+# Changes that make ComputationalGraph(3, 1, 0b101, (1, 1, 1)) malformed.
+MALFORMED = {
+    "too_few_colors": {"colors": (1,)},
+    "too_many_colors": {"colors": (1, 1, 1, 1)},
+    "no_colors": {"colors": ()},
+    "bit_past_pairs": {"bits": 0b1101},
+    "float_n": {"n": 3.0},
+    "negative_bits": {"bits": -1},
+}
+
+
+@pytest.mark.parametrize("change", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_shape_is_graph_error(change):
+    # refused however a graph is built, so no malformed graph reaches
+    # hashing, the oracle or .edges
+    good = ComputationalGraph(3, 1, 0b101, (1, 1, 1))
+    fields = {**good._asdict(), **change}
+    with pytest.raises(GraphError, match="^no graph has n = "):
+        ComputationalGraph(**fields)
+    with pytest.raises(GraphError):
+        good._replace(**change)
+    # an instance made around the check is refused when copied or loaded
+    raw = tuple.__new__(ComputationalGraph, fields.values())
+    with pytest.raises(GraphError):
+        copy.deepcopy(raw)
+    with pytest.raises(GraphError):
+        pickle.loads(pickle.dumps(raw))
+
+
+def test_shape_check_leaves_palette_and_path_condition():
+    # hashing takes any i < j DAG: colors outside 1..k and vertices off every
+    # 1 -> n path construct; bit n(n-1)/2 - 1 is the last pair's
+    g = ComputationalGraph(3, 0, 0b100, (7, 8, 9))
+    assert g.edges == ((2, 3),) and g.edge_count == 1
+    assert ComputationalGraph(1, 1, 0, (1,)).edges == ()
 
 
 def test_pack_edges_rejects_bad_order():

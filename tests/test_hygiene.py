@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used where it is imported, every
 public function of the package is part of its API, no package module imports
 another's underscore names, only graphs.py reads the packed layout, only the
-md5 kernel builder generates code, and importing the package loads no
+md5 kernel builder generates code, every NamedTuple that checks its fields
+in __new__ routes _make through it, and importing the package loads no
 process-pool module and no dataclasses."""
 
 import ast
@@ -198,6 +199,49 @@ def test_no_private_names_across_modules():
         for line in private_imports(p.read_text(encoding="utf-8"))
     ]
     assert not found, "private names imported across modules:\n" + "\n".join(found)
+
+
+def checked_named_tuples(source: str) -> dict[str, bool]:
+    """For each class built on NamedTuple or namedtuple that defines __new__,
+    whether it also assigns or defines _make."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and {"NamedTuple", "namedtuple"} & {
+            n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+            for b in node.bases for n in ast.walk(b)
+        }:
+            own = {s.name for s in node.body if isinstance(s, ast.FunctionDef)} | {
+                t.id for s in node.body if isinstance(s, ast.Assign)
+                for t in s.targets if isinstance(t, ast.Name)
+            }
+            if "__new__" in own:
+                found[node.name] = "_make" in own
+    return found
+
+
+def test_checked_named_tuples_detected():
+    src = (
+        "import typing\nfrom collections import namedtuple\n"
+        "class A(typing.NamedTuple('A', [('x', int)])):\n    def __new__(cls, x): ...\n"
+        "class B(namedtuple('B', 'x')):\n    _make = classmethod(lambda c, f: c(*f))\n"
+        "    def __new__(cls, x): ...\n"
+        "class C(typing.NamedTuple):\n    x: int\n"
+        "class D:\n    def __new__(cls): ...\n    def _make(self): ...\n"
+    )
+    assert checked_named_tuples(src) == {"A": False, "B": True}
+
+
+def test_checked_named_tuples_route_make():
+    # namedtuple's _make, and so _replace, builds with tuple.__new__ and
+    # would skip the check in __new__
+    found = {
+        name: routed
+        for p in sorted((ROOT / "src/daghash").glob("*.py"))
+        for name, routed in checked_named_tuples(p.read_text(encoding="utf-8")).items()
+    }
+    assert {"ComputationalGraph", "Permutation", "EnumerationConfig"} <= found.keys()
+    unrouted = sorted(name for name, routed in found.items() if not routed)
+    assert not unrouted, "NamedTuples whose _make skips __new__:\n" + "\n".join(unrouted)
 
 
 def loaded_on_import(modules: tuple[str, ...]) -> str:

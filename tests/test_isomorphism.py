@@ -110,23 +110,6 @@ def test_verify_witness_size_mismatch_is_error():
         verify_witness(g3, g3, identity_permutation(2))
 
 
-@pytest.mark.parametrize("colors", [(1,), (1, 1, 1, 1), ()])
-def test_colors_not_one_per_vertex_are_graph_errors(colors):
-    # too few, too many or no colors on a hand-built graph are refused in
-    # either argument position, beside a checked graph or another bad one
-    bad = ComputationalGraph(3, 1, 0b101, colors)
-    good = validate(3, 1, {(1, 2), (2, 3)}, [1, 1, 1])
-    identity = identity_permutation(3)
-    for g1, g2 in ((bad, good), (good, bad), (bad, bad)):
-        with pytest.raises(GraphError):
-            are_isomorphic(g1, g2)
-    with pytest.raises(GraphError):
-        apply_permutation(bad, identity)
-    with pytest.raises(GraphError):
-        verify_witness(bad, good, identity)
-    assert not verify_witness(good, good._replace(colors=colors), identity)
-
-
 def test_verify_witness_matches_edge_set_definition(small_corpus):
     # every permutation, reversing ones and non-witnesses included, of every
     # pair of classes with n <= 4 and equal vertex and edge counts, and of
