@@ -1,65 +1,39 @@
-"""Time a full enumeration run and print the per-size class table.
+"""Time `daghash enumerate` and print its per-size class table and peak RSS.
 
-Defaults reproduce the reserved-io search space with up to 7 vertices,
-9 edges, and 3 operation colors (423,624 classes, about 31 s and 95 MB
-peak RSS on one core of a 2-core Intel Xeon virtual machine).  Pass --out to keep the JSONL records.
+Arguments are `daghash enumerate`'s flags (see `daghash enumerate --help`),
+passed on unchanged; with none, the reference space --max-vertices 7
+--max-edges 9 --colors 3 --reserved-io (423,624 classes, about 30-34 s and
+92 MB peak RSS on one core of a 2-core Intel Xeon virtual machine).  Records
+go to --out, or to os.devnull without it.  The script exits with the
+command's code.
 """
 
 import argparse
+import os
 import resource
+import sys
 import time
 
-from daghash.enumeration import EnumerationConfig, enumerate_graphs
-from daghash.formats import record_line, summary_line
-from daghash.hashing import BACKENDS
+from daghash.cli import main
+
+REFERENCE = ["--max-vertices", "7", "--max-edges", "9", "--colors", "3", "--reserved-io"]
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-vertices", type=int, default=7)
-    ap.add_argument("--max-edges", type=int, default=9)
-    ap.add_argument("--colors", type=int, default=3)
-    ap.add_argument("--plain-palette", action="store_true",
-                    help="do not reserve input/output colors")
-    ap.add_argument("--backend", default="md5", choices=BACKENDS)
-    ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--out", help="write JSONL records here")
-    args = ap.parse_args()
-
-    config = EnumerationConfig(
-        args.max_vertices, args.max_edges, args.colors,
-        reserved_io=not args.plain_palette,
+def run() -> int:
+    ap = argparse.ArgumentParser(
+        usage="%(prog)s [-h] [enumerate flags]", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sink = open(args.out, "w", encoding="utf-8") if args.out else None
-
-    per_n = {}
+    argv = ap.parse_known_args()[1] or REFERENCE
     t0 = time.perf_counter()
-    last = t0
-    for rec in enumerate_graphs(config, backend=args.backend, workers=args.workers):
-        n = rec.graph.n
-        if n not in per_n:
-            now = time.perf_counter()
-            if per_n:
-                done = max(per_n)
-                print(f"n={done}: {per_n[done]} classes ({now - last:.1f}s)")
-            last = now
-            per_n[n] = 0
-        per_n[n] += 1
-        if sink:
-            sink.write(record_line(rec.invariant, rec.graph) + "\n")
-    elapsed = time.perf_counter() - t0
-
-    done = max(per_n)
-    print(f"n={done}: {per_n[done]} classes ({time.perf_counter() - last:.1f}s)")
-    print(f"total: {sum(per_n.values())} classes in {elapsed:.1f}s")
-    # ru_maxrss is in KiB on Linux
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"peak RSS: {peak:.1f} MB")
-    if sink:
-        sink.write(summary_line(per_n) + "\n")
-        sink.close()
-        print(f"records written to {args.out}")
+    # the last --out wins, so one in argv replaces os.devnull
+    code = main(["enumerate", "--out", os.devnull, *argv])
+    if code == 0:
+        # ru_maxrss is in KiB on Linux
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"{time.perf_counter() - t0:.1f} s, peak RSS {peak:.1f} MB")
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run())

@@ -65,8 +65,12 @@ class EnumerationConfig(NamedTuple(
     """
 
     __slots__ = ()
-    # _replace builds through _make, which would skip the checks in __new__.
+    # _replace builds through _make, and pickle protocols 0 and 1 through
+    # tuple.__new__; both would skip the checks in __new__.
     _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def __new__(cls, n_max: int, e_max: int, k: int, reserved_io: bool = False):
         for name, v, least in (("n_max", n_max, 2), ("e_max", e_max, 1), ("k", k, 1)):

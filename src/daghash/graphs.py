@@ -86,22 +86,31 @@ class ComputationalGraph(NamedTuple(
 )):
     """A colored DAG in canonical i < j edge representation.
 
-    Instances are immutable.  The constructor raises GraphError unless n is
-    an int, colors has n entries and bits sets only the n(n-1)/2 pairs; the
-    palette and the path condition are left to :func:`validate` and
-    :func:`normalize_dag`, so hashing takes any i < j DAG.
+    Instances are immutable.  The constructor raises GraphError unless n and
+    bits are ints, colors is a tuple of n entries and bits sets only the
+    n(n-1)/2 pairs; the palette and the path condition are left to
+    :func:`validate` and :func:`normalize_dag`, so hashing takes any i < j DAG.
     """
 
     __slots__ = ()
-    # _replace builds through _make, which would skip the check in __new__.
+    # _replace builds through _make, and pickle protocols 0 and 1 through
+    # tuple.__new__; both would skip the check in __new__.
     _make = classmethod(lambda cls, fields: cls(*fields))
 
+    def __reduce__(self):
+        return type(self), tuple(self)
+
     def __new__(cls, n: int, k: int, bits: int, colors: tuple[int, ...]):
-        if type(n) is not int or len(colors) != n or bits >> (n * (n - 1) >> 1):
-            raise GraphError(
-                f"no graph has n = {n!r}, {len(colors)} colors and bits of bit length"
-                f" {bits.bit_length()}{' (negative)' if bits < 0 else ''}"
-            )
+        if (type(n) is not int or type(bits) is not int or type(colors) is not tuple
+                or len(colors) != n or bits >> (n * (n - 1) >> 1)):
+            have = (f"{len(colors)} colors" if type(colors) is tuple
+                    else f"colors of type {type(colors).__name__}")
+            if type(bits) is int:
+                sign = " (negative)" if bits < 0 else ""
+                have += f" and bits of bit length {bits.bit_length()}{sign}"
+            else:
+                have += f" and bits of type {type(bits).__name__}"
+            raise GraphError(f"no graph has n = {n!r}, {have}")
         return tuple.__new__(cls, (n, k, bits, colors))
 
     @property
@@ -119,8 +128,12 @@ class Permutation(NamedTuple("Permutation", [("mapping", tuple[int, ...])])):
     """A bijection on vertices 1..n; mapping[i-1] is the image of vertex i."""
 
     __slots__ = ()
-    # _replace builds through _make, which would skip the check in __new__.
+    # _replace builds through _make, and pickle protocols 0 and 1 through
+    # tuple.__new__; both would skip the check in __new__.
     _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def __new__(cls, mapping: Iterable[int]):
         mapping = tuple(mapping)

@@ -64,6 +64,10 @@ def test_config_field_types(field, value):
         EnumerationConfig(**{**cfg._asdict(), field: value})
     with pytest.raises(ValueError, match=message):
         cfg._replace(**{field: value})
+    raw = tuple.__new__(EnumerationConfig, {**cfg._asdict(), field: value}.values())
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(pickle.dumps(raw, protocol))
 
 
 def test_config_defaults_and_replace_validates():

@@ -67,6 +67,9 @@ MALFORMED = {
     "bit_past_pairs": {"bits": 0b1101},
     "float_n": {"n": 3.0},
     "negative_bits": {"bits": -1},
+    "float_bits": {"bits": 1.5},
+    "none_colors": {"colors": None},
+    "list_colors": {"colors": [1, 1, 1]},
 }
 
 
@@ -84,8 +87,9 @@ def test_malformed_shape_is_graph_error(change):
     raw = tuple.__new__(ComputationalGraph, fields.values())
     with pytest.raises(GraphError):
         copy.deepcopy(raw)
-    with pytest.raises(GraphError):
-        pickle.loads(pickle.dumps(raw))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(GraphError):
+            pickle.loads(pickle.dumps(raw, protocol))
 
 
 def test_shape_check_leaves_palette_and_path_condition():
@@ -236,6 +240,10 @@ def test_permutation_bijection_checked():
     for mapping in ((1.0, 2), (True, 2), (2, True)):
         with pytest.raises(GraphError, match="not an int"):
             Permutation(mapping)
+        raw = tuple.__new__(Permutation, (mapping,))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            with pytest.raises(GraphError, match="not an int"):
+                pickle.loads(pickle.dumps(raw, protocol))
     p = Permutation((2, 3, 1))
     assert p(1) == 2 and inverse_permutation(p)(2) == 1
     assert identity_permutation(3).mapping == (1, 2, 3)

@@ -58,14 +58,31 @@ def test_run_search_space_help():
     assert done.stdout.startswith("usage: run_search_space.py")
 
 
-def test_run_search_space_writes_cli_bytes(tmp_path):
-    # the script keeps its own census loop; its file must be the CLI's
-    argv = ["--max-vertices", "5", "--max-edges", "7", "--colors", "2"]
+def test_run_search_space_writes_cli_bytes(tmp_path, capsys):
+    # the records and per-n table are the CLI's, then one time and RSS line
+    argv = ["--max-vertices", "5", "--max-edges", "7", "--colors", "2", "--reserved-io"]
     a, b = tmp_path / "script.jsonl", tmp_path / "cli.jsonl"
     done = run_script("scripts/run_search_space.py", *argv, "--out", str(a))
     assert done.returncode == 0, done.stderr
-    assert main(["enumerate", *argv, "--reserved-io", "--out", str(b)]) == 0
+    assert main(["enumerate", *argv, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    lines = done.stdout.splitlines()
+    assert lines[:-1] == capsys.readouterr().out.splitlines()
+    assert lines[-1].endswith(" MB") and ", peak RSS " in lines[-1]
+
+
+def test_run_search_space_exits_with_cli_codes(tmp_path):
+    # a capability error exits 3 and leaves no file; a bad value exits 2
+    out = tmp_path / "records.jsonl"
+    done = run_script("scripts/run_search_space.py", "--max-vertices", "2", "--max-edges", "1",
+                      "--colors", "30000", "--out", str(out))
+    assert done.returncode == 3
+    assert done.stderr == "error: 30000 ** 2 colorings at n = 2 exceed 1048576\n"
+    assert done.stdout == "" and not out.exists()
+    done = run_script("scripts/run_search_space.py", "--max-vertices", "2", "--max-edges", "1",
+                      "--colors", "1", "--workers", "0")
+    assert done.returncode == 2
+    assert done.stderr == "error: workers must be at least 1, got 0\n"
 
 
 def test_cli_module_runs_as_script(capsys):
