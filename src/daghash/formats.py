@@ -46,11 +46,10 @@ def graph_from_dict(obj, normalize: bool = False) -> ComputationalGraph:
     missing = {"n", "k", "colors", "edges"} - obj.keys()
     if missing:
         raise GraphError(f"graph object lacks keys: {sorted(missing)}")
-    n, k = obj["n"], obj["k"]
-    if not _is_int(n) or not _is_int(k):
-        raise GraphError("n and k must be integers")
+    # validate and normalize_dag refuse a non-int n, k or color; the edge
+    # entries are checked here, before the duplicate check hashes them.
     colors = obj["colors"]
-    if not isinstance(colors, list) or not all(map(_is_int, colors)):
+    if not isinstance(colors, list):
         raise GraphError("colors must be a list of integers")
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
@@ -66,8 +65,8 @@ def graph_from_dict(obj, normalize: bool = False) -> ComputationalGraph:
             raise GraphError(f"edge {list(e)} is listed more than once")
         seen.add(e)
     if normalize:
-        return normalize_dag(n, k, edges, colors)
-    return validate(n, k, edges, colors)
+        return normalize_dag(obj["n"], obj["k"], edges, colors)
+    return validate(obj["n"], obj["k"], edges, colors)
 
 
 def load_graph(path, normalize: bool = False) -> ComputationalGraph:

@@ -59,6 +59,20 @@ def pair_index(n: int, i: int, j: int) -> int:
     return (i - 1) * (2 * n - i) // 2 + (j - i - 1)
 
 
+def _is_int(v) -> bool:
+    # bool is an int subclass, so True would pass for 1 and hash like it.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_counts(n, k) -> None:
+    if not (_is_int(n) and _is_int(k)):
+        raise GraphError(f"vertex and color counts must be ints, got {n!r} and {k!r}")
+    if n < 1:
+        raise GraphError(f"vertex count must be positive, got {n}")
+    if k < 1:
+        raise GraphError(f"color count must be positive, got {k}")
+
+
 # Largest vertex count a packed matrix may have: 2^14 vertices need 16 MiB.
 MAX_VERTICES = 1 << 14
 
@@ -66,12 +80,16 @@ MAX_VERTICES = 1 << 14
 def pack_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
     """Pack an i < j edge set into the upper-triangular bit matrix.
 
-    Raises CapabilityExceeded, before allocating, if n exceeds MAX_VERTICES.
+    Raises CapabilityExceeded, before allocating, if n exceeds MAX_VERTICES,
+    and GraphError on an endpoint that is not an int (bools included) or
+    lies outside 1..n.
     """
     if n > MAX_VERTICES:
         raise CapabilityExceeded(f"{n} vertices exceed MAX_VERTICES = {MAX_VERTICES}")
     packed = bytearray((pair_count(n) + 7) // 8)
     for i, j in edges:
+        if not (_is_int(i) and _is_int(j)):
+            raise GraphError(f"edge ({i!r}, {j!r}) has an endpoint that is not an int")
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i}, {j}) has an endpoint outside 1..{n}")
         if i >= j:
@@ -175,13 +193,19 @@ def neighbor_lists_from_bits(n: int, bits: int) -> tuple[list[list[int]], list[l
     return outs, ins
 
 
-def neighbor_rows_from_bits(n: int, bits: int) -> tuple[list[int], list[int]]:
+@functools.lru_cache(maxsize=2)
+def neighbor_rows_from_bits(n: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Decode a packed bit matrix into 0-based out-neighbor bitmask rows (bit
-    j of rows[i] is the edge i -> j) and in-degrees.
+    j of rows[i] is the edge i -> j) and in-degrees, as two tuples.
 
     The pass of neighbor_lists_from_bits, with no lists to fill: O(n^2)
     for the pass, plus one OR into an n-bit row per edge, O(edges * n / 30)
-    word operations.
+    word operations.  The last two results stay cached, one for each graph
+    of an oracle call, so a stream that repeats a matrix in a row decodes
+    it once; the results are tuples because every caller shares them.  A
+    call hashes the key, O(n^2 / 30) word operations, and the cache keeps
+    up to two matrices and their rows alive, about n^2 / 8 bytes each when
+    dense.
     """
     rows = [0] * n
     indeg = [0] * n
@@ -197,7 +221,7 @@ def neighbor_rows_from_bits(n: int, bits: int) -> tuple[list[int], list[int]]:
         rows[i] |= 1 << j
         indeg[j] += 1
         t = s.find("1", t + 1, m)
-    return rows, indeg
+    return tuple(rows), tuple(indeg)
 
 
 def span_mask(n: int, outs: Sequence[Sequence[int]], ins: Sequence[Sequence[int]]) -> int:
@@ -229,16 +253,16 @@ def validate(
 
     Raises EdgeOrderViolation, ColorOutOfRange, or PathConditionViolation
     (naming the smallest offending vertex), plus GraphError for size
-    mismatches.
+    mismatches and for an n, k, color or endpoint that is not an int; bools
+    are not ints here.
     """
-    if n < 1:
-        raise GraphError(f"vertex count must be positive, got {n}")
-    if k < 1:
-        raise GraphError(f"color count must be positive, got {k}")
+    _check_counts(n, k)
     colors = tuple(colors)
     if len(colors) != n:
         raise GraphError(f"expected {n} colors, got {len(colors)}")
     for i, c in enumerate(colors, start=1):
+        if not _is_int(c):
+            raise GraphError(f"vertex {i} has color {c!r}, not an int")
         if not 1 <= c <= k:
             raise ColorOutOfRange(f"vertex {i} has color {c}, outside 1..{k}")
     bits = pack_edges(n, edges)
@@ -262,19 +286,32 @@ def apply_permutation(g: ComputationalGraph, p: Permutation) -> ComputationalGra
     n = g.n
     if len(mapping) != n:
         raise GraphError(f"permutation acts on {len(mapping)} vertices, graph has {n}")
-    image = []
-    for i, row in enumerate(neighbor_lists_from_bits(n, g.bits)[0]):
-        a = mapping[i]
-        for j in row:
-            b = mapping[j]
-            if a >= b:
-                raise NotLinearExtension(
-                    f"edge ({i + 1}, {j + 1}) maps to ({a}, {b}), reversing the order"
-                )
-            image.append((a, b))
-    bits = pack_edges(n, image)
+    # One pass over g's set bits, as in neighbor_lists_from_bits, setting
+    # each image bit in place: row i maps to row a, where pair_index(n, a,
+    # b) is off + b.
+    m = pair_count(n)
+    packed = bytearray((m + 7) // 8)
+    s = bin(g.bits)[:1:-1]
+    i, end = -1, 0
+    t = s.find("1", 0, m)
+    while t >= 0:
+        if t >= end:
+            while t >= end:
+                i += 1
+                end += n - 1 - i
+            a = mapping[i]
+            off = (a - 1) * (2 * n - a) // 2 - a - 1
+        j = t - end + n
+        b = mapping[j]
+        if a >= b:
+            raise NotLinearExtension(
+                f"edge ({i + 1}, {j + 1}) maps to ({a}, {b}), reversing the order"
+            )
+        u = off + b
+        packed[u >> 3] |= 1 << (u & 7)
+        t = s.find("1", t + 1, m)
     colors = tuple([c for _, c in sorted(zip(mapping, g.colors))])
-    return ComputationalGraph(n, g.k, bits, colors)
+    return ComputationalGraph(n, g.k, int.from_bytes(packed, "little"), colors)
 
 
 def _extensions(n: int, outs, ins) -> Iterator[tuple[int, ...]]:
@@ -383,14 +420,15 @@ def normalize_dag(
     Vertices are renumbered by a deterministic Kahn topological sort that
     always picks the smallest original index among ready vertices, so
     already-sorted input comes back unchanged.  Raises CycleDetected when
-    the input is not acyclic.
+    the input is not acyclic, and validate's errors otherwise.
     """
-    if n < 1:
-        raise GraphError(f"vertex count must be positive, got {n}")
+    _check_counts(n, k)
     if len(colors) != n:
         raise GraphError(f"expected {n} colors, got {len(colors)}")
     edge_set = set()
     for i, j in edges:
+        if not (_is_int(i) and _is_int(j)):
+            raise GraphError(f"edge ({i!r}, {j!r}) has an endpoint that is not an int")
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i}, {j}) has an endpoint outside 1..{n}")
         if i == j:

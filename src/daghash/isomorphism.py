@@ -66,13 +66,13 @@ def are_isomorphic(g1: ComputationalGraph, g2: ComputationalGraph) -> IsoWitness
 
     # One pass over each packed matrix gives, per vertex, a bitmask row over
     # 0-based targets (bit j of rows[i] is the edge i -> j) and the in-degree,
-    # hence the (color, out-degree, in-degree) signature.
-    sides = []
-    for g in (g1, g2):
-        rows, indeg = neighbor_rows_from_bits(n, g.bits)
-        colors = g.colors
-        sides.append((rows, [(colors[v], rows[v].bit_count(), indeg[v]) for v in range(n)]))
-    (rows1, sig1), (rows2, sig2) = sides
+    # hence the (color, out-degree, in-degree) signature.  The decoder keeps
+    # its last two results, and verify hashes each matrix's colorings in a
+    # row, so most of its calls repeat both matrices and decode neither.
+    rows1, indeg1 = neighbor_rows_from_bits(n, g1.bits)
+    rows2, indeg2 = neighbor_rows_from_bits(n, g2.bits)
+    sig1 = list(zip(g1.colors, map(int.bit_count, rows1), indeg1))
+    sig2 = list(zip(g2.colors, map(int.bit_count, rows2), indeg2))
     if sorted(sig1) != sorted(sig2):
         return IsoWitness(None)
     # Candidates group by signature: one map from a signature to g2's
@@ -104,7 +104,7 @@ def are_isomorphic(g1: ComputationalGraph, g2: ComputationalGraph) -> IsoWitness
 
     if not extend(0):
         return IsoWitness(None)
-    witness = Permutation(tuple(w + 1 for w in mapping))
+    witness = Permutation(map((1).__add__, mapping))
     if not verify_witness(g1, g2, witness):
         raise RuntimeError("internal error: search produced a witness that fails re-verification")
     return IsoWitness(witness)

@@ -16,6 +16,7 @@ from daghash.graphs import (
     GraphError,
     Permutation,
     neighbor_lists_from_bits,
+    neighbor_rows_from_bits,
     pack_edges,
     pair_count,
     pair_index,
@@ -99,11 +100,12 @@ def triple_graphs():
 
 @pytest.fixture(autouse=True)
 def empty_hash_caches(monkeypatch):
-    """Every test starts with no cached kernel, an empty digest table and no
-    compiled md5 rows."""
+    """Every test starts with no cached kernel, an empty digest table, no
+    compiled md5 rows and no decoded oracle rows."""
     monkeypatch.setattr(hashing, "_kernel", (None,) * 5)
     monkeypatch.setattr(hashing, "_table", (None, {}))
     monkeypatch.setattr(hashing, "_rows", (None, None, {}))
+    neighbor_rows_from_bits.cache_clear()
 
 
 @pytest.fixture(scope="session")

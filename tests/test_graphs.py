@@ -137,7 +137,7 @@ def test_long_path_converts_in_linear_time():
 
 def rows_from_lists(n, bits):
     outs, ins = neighbor_lists_from_bits(n, bits)
-    return [sum(1 << j for j in row) for row in outs], [len(col) for col in ins]
+    return tuple(sum(1 << j for j in row) for row in outs), tuple(len(col) for col in ins)
 
 
 def test_neighbor_rows_agree_with_lists():
@@ -154,6 +154,21 @@ def test_neighbor_rows_agree_with_lists():
                 assert neighbor_rows_from_bits(n, sparse) == rows_from_lists(n, sparse)
 
 
+def test_neighbor_rows_cache_serves_interleaved_decodes():
+    # two graphs per oracle call fill both slots; a third matrix evicts the
+    # least recent one, and every answer equals a fresh decode
+    uncached = neighbor_rows_from_bits.__wrapped__
+    rng = random.Random(24)
+    keys = [(n, rng.getrandbits(pair_count(n))) for n in (2, 5, 5, 7, 12)]
+    for _ in range(200):
+        n, bits = rng.choice(keys)
+        rows, indeg = neighbor_rows_from_bits(n, bits)
+        assert type(rows) is tuple and type(indeg) is tuple
+        assert (rows, indeg) == uncached(n, bits) == rows_from_lists(n, bits)
+    info = neighbor_rows_from_bits.cache_info()
+    assert info.maxsize == 2 and info.currsize == 2 and info.hits > 0
+
+
 def test_neighbor_rows_of_long_path_in_linear_time():
     # cutting each row out of the packed int with a shift copies the matrix
     # once per vertex, O(n^3): 0.58 s at 4,000 vertices, so about 4.6 s at
@@ -163,8 +178,8 @@ def test_neighbor_rows_of_long_path_in_linear_time():
     t0 = time.perf_counter()
     rows, indeg = neighbor_rows_from_bits(n, bits)
     assert time.perf_counter() - t0 < 1.0
-    assert rows == [1 << j for j in range(1, n)] + [0]
-    assert indeg == [0] + [1] * (n - 1)
+    assert rows == tuple(1 << j for j in range(1, n)) + (0,)
+    assert indeg == (0,) + (1,) * (n - 1)
 
 
 def test_edges_of_long_path_in_linear_time():
@@ -222,6 +237,28 @@ def test_validate_color_range():
         validate(2, 1, {(1, 2)}, [1])
     with pytest.raises(GraphError):
         validate(0, 1, [], [])
+
+
+NON_INT_INPUTS = {
+    "float_n": (2.0, 2, [(1, 2)], [1, 1]),
+    "str_n": ("2", 2, [(1, 2)], [1, 1]),
+    "bool_n": (True, 1, [], [1]),
+    "float_k": (2, 1.5, [(1, 2)], [1, 1]),
+    "bool_k": (2, True, [(1, 2)], [1, 1]),
+    "float_color": (2, 2, [(1, 2)], [1.5, 1]),
+    "bool_color": (2, 2, [(1, 2)], [True, 1]),
+    "float_endpoint": (2, 1, [(1.0, 2)], [1, 1]),
+    "bool_endpoint": (2, 1, [(True, 2)], [1, 1]),
+}
+
+
+@pytest.mark.parametrize("build", [validate, normalize_dag])
+@pytest.mark.parametrize("case", NON_INT_INPUTS.values(), ids=NON_INT_INPUTS)
+def test_non_int_inputs_are_graph_errors(build, case):
+    # an int-valued float or bool once built a graph, or raised TypeError;
+    # bool colors [True, 1] hashed as [1, 1]
+    with pytest.raises(GraphError, match="not an int|must be ints"):
+        build(*case)
 
 
 def test_neighbors_and_degrees(triple):

@@ -105,8 +105,8 @@ def test_public_functions_are_api():
 
 
 # Only graphs.py knows the row-major packed layout, canonical_relabeling
-# included.  Every other module decodes through neighbor_lists_from_bits or
-# adjacency_lists.
+# included.  Every other module decodes through neighbor_lists_from_bits,
+# neighbor_rows_from_bits or adjacency_lists.
 PACKED_LAYOUT_READERS = {"graphs"}
 
 

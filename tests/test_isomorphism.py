@@ -15,6 +15,7 @@ from daghash.graphs import (
     Permutation,
     apply_permutation,
     linear_extensions,
+    neighbor_rows_from_bits,
     pack_edges,
     validate,
 )
@@ -284,3 +285,14 @@ def test_oracle_on_verify_pairs(monkeypatch):
             assert (None if w is None else w.mapping) == _naive_isomorphic(rep, swapped)
             swap_verdicts.add(w is not None)
     assert moved > 0 and swap_verdicts == {True, False}
+
+
+def test_verify_stream_reuses_decoded_rows():
+    # verify hashes each matrix's colorings in a row, so most oracle calls
+    # repeat the last call's two matrices and hit the two-slot cache (326
+    # of 380 lookups); the witness check walks g1's bits and looks up nothing
+    report = verify_buckets(EnumerationConfig(5, 7, 2, True))
+    info = neighbor_rows_from_bits.cache_info()
+    lookups = info.hits + info.misses
+    assert lookups == 2 * report.duplicates == 380
+    assert info.hits >= 0.85 * lookups
