@@ -18,15 +18,20 @@ The seen-digest set spans all n.  Digests embed the vertex count, so graphs
 of different sizes cannot merge; the global set simply mirrors the loop
 structure of the generation procedure.
 
-Each surviving matrix is hashed in its canonical labeling, the linear
+Each surviving matrix is hashed in its canonical labeling C, the linear
 extension with the least packed bits, which graphs.canonical_relabeling
 finds by a search that visits only linear extensions.  Isomorphic i < j
 DAGs have the same set of i < j relabelings, so they share one canonical
-matrix, and every coloring of a matrix isomorphic to an earlier one
-reaches the hash as inputs already seen, which the hashing layer's per-n
-table answers without refining.  The relabeling only changes what is
-hashed, and the hash is an isomorphism invariant, so every digest, record
-and output byte is what hashing the original labeling gives.
+matrix.  The same search returns every extension that reaches C; they
+differ by the automorphisms of C, and two colorings of C give isomorphic
+graphs iff one of those maps one onto the other.  So each coloring is
+hashed as the least coloring in its automorphism orbit, and every coloring
+isomorphic to an earlier one, of this matrix or an earlier one, reaches
+the hash as inputs already seen, which the hashing layer's per-n table
+answers without refining: the md5 kernel runs once per class.  The
+relabeling only changes what is hashed, and the hash is an isomorphism
+invariant, so every digest, record and output byte is what hashing the
+original labeling gives.
 """
 
 from __future__ import annotations
@@ -138,9 +143,12 @@ def _surviving_matrices(n: int, e_max: int):
     """Packed adjacency ints that pass both prunes, ascending numerically.
 
     Yields (bits, outs, ins, relabel): the matrix, the neighbor lists of its
-    canonical relabeling, and the map taking a coloring of the matrix to the
-    same coloring in canonical labeling.  The relabeling reuses the decoded
-    lists, so each matrix is decoded once.
+    canonical relabeling C, and the map taking a coloring of the matrix to
+    the least coloring of C it is isomorphic to.  That is the least of the
+    coloring's images under every labeling with C's bits, which is its
+    orbit under the automorphisms of C; with only one such labeling the map
+    is a plain itemgetter.  The relabeling reuses the decoded lists, so each
+    matrix is decoded once.
     """
     full = (1 << n) - 1
     for bits in range(1 << pair_count(n)):
@@ -148,8 +156,15 @@ def _surviving_matrices(n: int, e_max: int):
             continue
         outs, ins = neighbor_lists_from_bits(n, bits)
         if span_mask(n, outs, ins) == full:
-            _, outs, ins, order = canonical_relabeling(n, outs, ins)
-            yield bits, outs, ins, operator.itemgetter(*order)
+            _, outs, ins, orders = canonical_relabeling(n, outs, ins)
+            getters = tuple(operator.itemgetter(*order) for order in orders)
+            relabel = getters[0] if len(getters) == 1 else functools.partial(_least, getters)
+            yield bits, outs, ins, relabel
+
+
+def _least(getters, colors):
+    # Module level, so a pool can pickle the partial that binds it.
+    return min([get(colors) for get in getters])
 
 
 def _matrix_digests(n, colorings, backend, mat):

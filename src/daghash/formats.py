@@ -84,9 +84,24 @@ def _edges_text(n: int, bits: int) -> str:
     return json.dumps(ComputationalGraph(n, 0, bits, (0,) * n).edges)
 
 
+# A census emits each n's colorings once per matrix, in one order; 1,024
+# covers them for k = 3 up to n = 8 with reserved I/O, and n = 6 without.
+@functools.lru_cache(maxsize=1024)
+def _int_colors_text(colors: tuple[int, ...]) -> str:
+    return json.dumps(colors)
+
+
 def record_line(digest: Digest, g: ComputationalGraph) -> str:
-    """A record's JSON line, as json.dumps writes it (no newline); edges cached per (n, bits)."""
-    head = f'{{"hash": "{digest.hex()}", "n": {g.n}, "colors": {json.dumps(g.colors)}'
+    """A record's JSON line, as json.dumps writes it (no newline); edges cached
+    per (n, bits) and colors per tuple of ints."""
+    colors = g.colors
+    # Only exact ints share the cache: (True, 2) and (1.0, 2) equal (1, 2)
+    # as keys but print differently.
+    if {int}.issuperset(map(type, colors)):
+        text = _int_colors_text(colors)
+    else:
+        text = json.dumps(colors)
+    head = f'{{"hash": "{digest.hex()}", "n": {g.n}, "colors": {text}'
     return f'{head}, "edges": {_edges_text(g.n, g.bits)}}}'
 
 

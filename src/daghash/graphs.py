@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+from operator import getitem
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -73,6 +74,32 @@ def _check_counts(n, k) -> None:
         raise GraphError(f"color count must be positive, got {k}")
 
 
+def _color_tuple(n, colors) -> tuple:
+    try:
+        colors = tuple(colors)
+    except TypeError:
+        raise GraphError(f"colors must be a sequence, got {type(colors).__name__}") from None
+    if len(colors) != n:
+        raise GraphError(f"expected {n} colors, got {len(colors)}")
+    return colors
+
+
+def _int_pairs(edges) -> Iterator[tuple[int, int]]:
+    # Each edge as a pair of ints, bools excluded; GraphError on any other shape.
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise GraphError(f"edges must be iterable, got {type(edges).__name__}") from None
+    for e in edges:
+        try:
+            i, j = e
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {e!r} is not an (i, j) pair") from None
+        if not (_is_int(i) and _is_int(j)):
+            raise GraphError(f"edge ({i!r}, {j!r}) has an endpoint that is not an int")
+        yield i, j
+
+
 # Largest vertex count a packed matrix may have: 2^14 vertices need 16 MiB.
 MAX_VERTICES = 1 << 14
 
@@ -81,15 +108,13 @@ def pack_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
     """Pack an i < j edge set into the upper-triangular bit matrix.
 
     Raises CapabilityExceeded, before allocating, if n exceeds MAX_VERTICES,
-    and GraphError on an endpoint that is not an int (bools included) or
-    lies outside 1..n.
+    and GraphError on an edge that is not a pair or an endpoint that is not
+    an int (bools included) or lies outside 1..n.
     """
     if n > MAX_VERTICES:
         raise CapabilityExceeded(f"{n} vertices exceed MAX_VERTICES = {MAX_VERTICES}")
     packed = bytearray((pair_count(n) + 7) // 8)
-    for i, j in edges:
-        if not (_is_int(i) and _is_int(j)):
-            raise GraphError(f"edge ({i!r}, {j!r}) has an endpoint that is not an int")
+    for i, j in _int_pairs(edges):
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i}, {j}) has an endpoint outside 1..{n}")
         if i >= j:
@@ -167,13 +192,58 @@ class Permutation(NamedTuple("Permutation", [("mapping", tuple[int, ...])])):
         return self.mapping[i - 1]
 
 
-def adjacency_lists(g: ComputationalGraph) -> tuple[list[list[int]], list[list[int]]]:
+Neighbors = tuple[tuple[int, ...], ...]
+
+
+def adjacency_lists(g: ComputationalGraph) -> tuple[Neighbors, Neighbors]:
     """Out- and in-neighbor lists over 0-based vertex positions."""
     return neighbor_lists_from_bits(g.n, g.bits)
 
 
-def neighbor_lists_from_bits(n: int, bits: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Decode a packed bit matrix into 0-based out-/in-neighbor lists."""
+# Largest n whose matrices decode by table lookup; 8 covers every census
+# space up to the n = 8 frontier.  At n = 8 the tables hold 255 row and
+# 255 column entries and four 256-entry byte maps, built on first use.
+DECODE_TABLE_MAX_N = 8
+
+
+@functools.cache
+def _decode_tables(n):
+    # (rows, moves, cols).  rows[i] is (offset, mask, targets): row i's
+    # n-1-i pairs, read as an int from bit offset of the packed matrix,
+    # index the tuple of its targets.  moves[q] maps byte q of the packed
+    # matrix to those pairs' bits in column-major order, (0,1), (0,2),
+    # (1,2), (0,3), ..., in which cols[j] reads column j the same way.
+    def table(off, width, base):
+        read = tuple(tuple([base + b for b in range(width) if r >> b & 1])
+                     for r in range(1 << width))
+        return off, (1 << width) - 1, read
+
+    rows = tuple(table(i * (2 * n - i - 1) // 2, n - 1 - i, i + 1) for i in range(n))
+    cols = tuple(table(j * (j - 1) // 2, j, 0) for j in range(n))
+    column_bit = [1 << j * (j - 1) // 2 + i for i in range(n) for j in range(i + 1, n)]
+    column_bit += [0] * (-len(column_bit) % 8)
+    moves = tuple(
+        tuple(sum(column_bit[q + b] for b in range(8) if v >> b & 1) for v in range(256))
+        for q in range(0, len(column_bit), 8)
+    )
+    return rows, moves, cols
+
+
+def neighbor_lists_from_bits(n: int, bits: int) -> tuple[Neighbors, Neighbors]:
+    """Decode a packed bit matrix (0 <= bits < 2^(n(n-1)/2)) into 0-based
+    out-/in-neighbor lists, as tuples of sorted tuples.
+
+    Up to DECODE_TABLE_MAX_N vertices each row and column is one lookup in
+    per-n tables, and the tuples are shared with the tables; above it, one
+    pass over the set bits.
+    """
+    if n <= DECODE_TABLE_MAX_N:
+        rows, moves, cols = _decode_tables(n)
+        column_major = sum(map(getitem, moves, bits.to_bytes(len(moves), "little")))
+        return (
+            tuple([read[bits >> off & mask] for off, mask, read in rows]),
+            tuple([read[column_major >> off & mask] for off, mask, read in cols]),
+        )
     outs: list[list[int]] = [[] for _ in range(n)]
     ins: list[list[int]] = [[] for _ in range(n)]
     # One pass over the bits as text, lowest first: shifting the int per
@@ -190,7 +260,7 @@ def neighbor_lists_from_bits(n: int, bits: int) -> tuple[list[list[int]], list[l
         outs[i].append(j)
         ins[j].append(i)
         t = s.find("1", t + 1, m)
-    return outs, ins
+    return tuple(map(tuple, outs)), tuple(map(tuple, ins))
 
 
 @functools.lru_cache(maxsize=2)
@@ -198,30 +268,16 @@ def neighbor_rows_from_bits(n: int, bits: int) -> tuple[tuple[int, ...], tuple[i
     """Decode a packed bit matrix into 0-based out-neighbor bitmask rows (bit
     j of rows[i] is the edge i -> j) and in-degrees, as two tuples.
 
-    The pass of neighbor_lists_from_bits, with no lists to fill: O(n^2)
-    for the pass, plus one OR into an n-bit row per edge, O(edges * n / 30)
-    word operations.  The last two results stay cached, one for each graph
-    of an oracle call, so a stream that repeats a matrix in a row decodes
-    it once; the results are tuples because every caller shares them.  A
-    call hashes the key, O(n^2 / 30) word operations, and the cache keeps
-    up to two matrices and their rows alive, about n^2 / 8 bytes each when
-    dense.
+    Read from neighbor_lists_from_bits, plus one n-bit row built per
+    vertex, O(edges * n / 30) word operations.  The last two results stay
+    cached, one for each graph of an oracle call, so a stream that repeats
+    a matrix in a row decodes it once; the results are tuples because every
+    caller shares them.  A call hashes the key, O(n^2 / 30) word
+    operations, and the cache keeps up to two matrices and their rows
+    alive, about n^2 / 8 bytes each when dense.
     """
-    rows = [0] * n
-    indeg = [0] * n
-    s = bin(bits)[:1:-1]
-    m = pair_count(n)
-    i, end = 0, n - 1
-    t = s.find("1", 0, m)
-    while t >= 0:
-        while t >= end:
-            i += 1
-            end += n - 1 - i
-        j = t - end + n
-        rows[i] |= 1 << j
-        indeg[j] += 1
-        t = s.find("1", t + 1, m)
-    return tuple(rows), tuple(indeg)
+    outs, ins = neighbor_lists_from_bits(n, bits)
+    return tuple([sum(map((1).__lshift__, row)) for row in outs]), tuple(map(len, ins))
 
 
 def span_mask(n: int, outs: Sequence[Sequence[int]], ins: Sequence[Sequence[int]]) -> int:
@@ -253,13 +309,12 @@ def validate(
 
     Raises EdgeOrderViolation, ColorOutOfRange, or PathConditionViolation
     (naming the smallest offending vertex), plus GraphError for size
-    mismatches and for an n, k, color or endpoint that is not an int; bools
-    are not ints here.
+    mismatches, for colors that are not a sequence or an edge that is not a
+    pair, and for an n, k, color or endpoint that is not an int; bools are
+    not ints here.
     """
     _check_counts(n, k)
-    colors = tuple(colors)
-    if len(colors) != n:
-        raise GraphError(f"expected {n} colors, got {len(colors)}")
+    colors = _color_tuple(n, colors)
     for i, c in enumerate(colors, start=1):
         if not _is_int(c):
             raise GraphError(f"vertex {i} has color {c!r}, not an int")
@@ -383,29 +438,35 @@ def _pair_bits(n):
 
 
 def canonical_relabeling(n: int, outs, ins):
-    """The linear extension giving the least packed bits, applied to the lists.
+    """The linear extensions giving the least packed bits, applied to the lists.
 
     Searches the linear extensions of the DAG with 0-based out- and
     in-neighbor lists outs and ins (each edge i -> j has i < j) in
-    lexicographic order; the first least one wins.  Returns (bits, outs,
-    ins, order): the least bits, the relabeled neighbor lists (sorted
-    tuples), and order[v], the original vertex placed at position v.
+    lexicographic order.  Returns (bits, outs, ins, orders): the least
+    bits, the relabeled neighbor lists (sorted tuples), and one order per
+    extension giving the least bits, in search order: order[v] is the
+    original vertex placed at position v.  The orders differ by the
+    automorphisms of the relabeled DAG, so the first one names the least
+    labeling and all of them together its automorphism group.
     """
     edges = [(i, j) for i in range(n) for j in outs[i]]
     pair_bits = _pair_bits(n)
-    best = None
+    best, best_ps = None, []
     for p in _extensions(n, outs, ins):
         bits = 0
         for i, j in edges:
             bits |= pair_bits[p[i]][p[j]]
         if best is None or bits < best:
-            best, best_p = bits, p
-    order = sorted(range(n), key=best_p.__getitem__)
+            best, best_ps = bits, [p]
+        elif bits == best:
+            best_ps.append(p)
+    orders = tuple(tuple(sorted(range(n), key=p.__getitem__)) for p in best_ps)
+    p, order = best_ps[0], orders[0]
     return (
         best,
-        tuple(tuple(sorted([best_p[j] for j in outs[i]])) for i in order),
-        tuple(tuple(sorted([best_p[j] for j in ins[i]])) for i in order),
-        tuple(order),
+        tuple(tuple(sorted([p[j] for j in outs[i]])) for i in order),
+        tuple(tuple(sorted([p[j] for j in ins[i]])) for i in order),
+        orders,
     )
 
 
@@ -423,12 +484,9 @@ def normalize_dag(
     the input is not acyclic, and validate's errors otherwise.
     """
     _check_counts(n, k)
-    if len(colors) != n:
-        raise GraphError(f"expected {n} colors, got {len(colors)}")
+    colors = _color_tuple(n, colors)
     edge_set = set()
-    for i, j in edges:
-        if not (_is_int(i) and _is_int(j)):
-            raise GraphError(f"edge ({i!r}, {j!r}) has an endpoint that is not an int")
+    for i, j in _int_pairs(edges):
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i}, {j}) has an endpoint outside 1..{n}")
         if i == j:

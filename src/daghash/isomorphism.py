@@ -82,14 +82,15 @@ def are_isomorphic(g1: ComputationalGraph, g2: ComputationalGraph) -> IsoWitness
         groups.setdefault(s, []).append(w)
     candidates = [groups[s] for s in sig1]
 
-    # mapping[u] is vertex u's image.  Rows hold only i < j bits, so the edge
-    # test reads 0 for a > w and the reversed-edge test reads 0 for w > a.
+    # Depth-first over vertex v = len(mapping), with mapping[u] vertex u's
+    # image and pending[v] the iterator over v's untried candidates.  Rows
+    # hold only i < j bits, so the edge test reads 0 for a > w and the
+    # reversed-edge test reads 0 for w > a.  A loop, not a recursive
+    # closure, so a call leaves no reference cycle for the collector.
     mapping: list[int] = []
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in candidates[v]:
+    pending = [iter(candidates[0])] if n else []
+    while pending and (v := len(mapping)) < n:
+        for w in pending[-1]:
             if w in mapping:
                 continue
             for u, a in enumerate(mapping):
@@ -97,12 +98,14 @@ def are_isomorphic(g1: ComputationalGraph, g2: ComputationalGraph) -> IsoWitness
                     break
             else:
                 mapping.append(w)
-                if extend(v + 1):
-                    return True
+                if v + 1 < n:
+                    pending.append(iter(candidates[v + 1]))
+                break
+        else:
+            pending.pop()
+            if mapping:
                 mapping.pop()
-        return False
-
-    if not extend(0):
+    if len(mapping) < n:
         return IsoWitness(None)
     witness = Permutation(map((1).__add__, mapping))
     if not verify_witness(g1, g2, witness):

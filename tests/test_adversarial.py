@@ -186,8 +186,8 @@ def test_family_regular_degrees():
     for g in (pair.g1, pair.g2):
         outs, ins = adjacency_lists(g)
         for v in range(g.n):
-            assert outs[v] == [w for w in range(g.n) if has_edge(g, v + 1, w + 1)]
-            assert ins[v] == [u for u in range(g.n) if has_edge(g, u + 1, v + 1)]
+            assert outs[v] == tuple(w for w in range(g.n) if has_edge(g, v + 1, w + 1))
+            assert ins[v] == tuple(u for u in range(g.n) if has_edge(g, u + 1, v + 1))
         # 0-based: layer A is 1..8, layer B is 9..16
         for u in range(1, 9):
             assert len(outs[u]) == 3 and len(ins[u]) == 1

@@ -374,6 +374,17 @@ def test_record_line_matches_json_dumps(a, b):
         )
 
 
+def test_record_line_colors_cache_is_exact():
+    # 1 == True == 1.0, so (1, 2), (True, 2) and (1.0, 2) are one cache key;
+    # each must still print as json.dumps prints it
+    digest = bytes(16)
+    for colors in ((1, 2), (True, 2), (1.0, 2), (1, 2), (True, 2), (1.0, 2)):
+        g = ComputationalGraph(2, 2, 1, colors)
+        want = json.dumps({"hash": digest.hex(), "n": 2, "colors": list(colors),
+                           "edges": [[1, 2]]})
+        assert record_line(digest, g) == want
+
+
 def test_verify_false_merge_is_negative_answer(monkeypatch, capsys):
     # a digest that depends only on n merges the 3-vertex path and triangle
     def by_n(n, outs, ins, colors, backend="md5"):

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import operator
 import pickle
 
 import pytest
@@ -23,7 +24,7 @@ from daghash.enumeration import (
     enumerate_graphs,
     verify_buckets,
 )
-from daghash import enumeration
+from daghash import enumeration, hashing
 from daghash.graphs import (
     ComputationalGraph,
     GraphError,
@@ -128,9 +129,9 @@ def _spans(n, bits):
 
 
 def test_neighbor_lists_from_bits_examples():
-    assert neighbor_lists_from_bits(2, 0b1) == ([[1], []], [[], [0]])
-    assert neighbor_lists_from_bits(3, 0b101) == ([[1], [2], []], [[], [0], [1]])
-    assert neighbor_lists_from_bits(3, 0) == ([[], [], []], [[], [], []])
+    assert neighbor_lists_from_bits(2, 0b1) == (((1,), ()), ((), (0,)))
+    assert neighbor_lists_from_bits(3, 0b101) == (((1,), (2,), ()), ((), (0,), (1,)))
+    assert neighbor_lists_from_bits(3, 0) == (((), (), ()), ((), (), ()))
 
 
 def test_decode_positions_follow_pair_order():
@@ -231,34 +232,39 @@ def test_canonical_relabeling_is_shared_by_linear_extensions(g):
     relabelings = [apply_permutation(g, p) for p in linear_extensions(g)]
     least = min(gp.bits for gp in relabelings)
     for gp in relabelings:
-        bits, outs, ins, order = canonical_relabeling(gp.n, *adjacency_lists(gp))
+        bits, outs, ins, orders = canonical_relabeling(gp.n, *adjacency_lists(gp))
         assert bits == least
-        want = neighbor_lists_from_bits(g.n, bits)
-        assert (outs, ins) == tuple(tuple(map(tuple, x)) for x in want)
-        # order[v] is the vertex of gp placed at position v; the relabeling
-        # is a linear extension and carries the colors along
-        canon = apply_permutation(gp, Permutation(tuple(order.index(v) + 1 for v in range(g.n))))
-        assert canon.bits == bits
-        assert canon.colors == tuple(gp.colors[v] for v in order)
-        assert graph_invariant(canon) == graph_invariant(g)
+        assert (outs, ins) == neighbor_lists_from_bits(g.n, bits)
+        # order[v] is the vertex of gp placed at position v; every reported
+        # relabeling is a linear extension that rebuilds bits and carries
+        # the colors along
+        assert len(set(orders)) == len(orders) >= 1
+        for order in orders:
+            p = Permutation(tuple(order.index(v) + 1 for v in range(g.n)))
+            canon = apply_permutation(gp, p)
+            assert canon.bits == bits
+            assert canon.colors == tuple(gp.colors[v] for v in order)
+            assert graph_invariant(canon) == graph_invariant(g)
 
 
 def test_canonical_relabeling_matches_brute_force():
-    """The first least-bits linear extension of the brute-force reference,
-    on every path-condition matrix with n <= 6 and at most 9 edges."""
+    """Every least-bits linear extension of the brute-force reference, in
+    its order, on every path-condition matrix with n <= 6 and at most 9
+    edges."""
     for n in range(2, 7):
         for bits, *_ in _surviving_matrices(n, 9):
             g = ComputationalGraph(n, 1, bits, (1,) * n)
-            least = None
+            least, best = None, []
             for p in brute_linear_extensions(g):
                 image = apply_permutation(g, p).bits
                 if least is None or image < least:
-                    least, best = image, p
-            want = neighbor_lists_from_bits(n, least)
+                    least, best = image, [p]
+                elif image == least:
+                    best.append(p)
             assert canonical_relabeling(n, *adjacency_lists(g)) == (
                 least,
-                *(tuple(map(tuple, x)) for x in want),
-                tuple(v - 1 for v in inverse_permutation(best).mapping),
+                *neighbor_lists_from_bits(n, least),
+                tuple(tuple(v - 1 for v in inverse_permutation(p).mapping) for p in best),
             )
 
 
@@ -271,6 +277,36 @@ def test_surviving_matrices_relabel_colorings_consistently():
             for colors in config.colorings(n):
                 g = ComputationalGraph(n, config.palette, bits, colors)
                 assert invariant_from_lists(n, outs, ins, relabel(colors)) == graph_invariant(g)
+
+
+def test_relabel_maps_colorings_to_orbit_minima():
+    # relabel(colors) is the least coloring of the canonical matrix that the
+    # colored matrix is isomorphic to, and survives the pickling a pool does
+    config = EnumerationConfig(5, 6, 2, reserved_io=True)
+    nontrivial = 0
+    for n in range(2, 6):
+        colorings = list(config.colorings(n))
+        for bits, outs, ins, relabel in _surviving_matrices(n, config.e_max):
+            canon = validate(n, config.palette, [(i + 1, j + 1) for i in range(n) for j in outs[i]],
+                             [config.k + 1] + [1] * (n - 2) + [config.k + 2]).bits
+            copied = pickle.loads(pickle.dumps(relabel))
+            nontrivial += not isinstance(relabel, operator.itemgetter)
+            for colors in colorings:
+                g = ComputationalGraph(n, config.palette, bits, colors)
+                least = min(c for c in colorings if are_isomorphic(
+                    g, ComputationalGraph(n, config.palette, canon, c)).isomorphic)
+                assert relabel(colors) == copied(colors) == least
+    assert nontrivial > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_digest_table_holds_one_entry_per_class(n):
+    # every coloring is hashed as its orbit minimum, so the n's table, which
+    # holds one entry per kernel run, ends with one entry per class
+    report = verify_buckets(EnumerationConfig(n, 7, 2, reserved_io=True))
+    table_n, table = hashing._table
+    assert table_n == n
+    assert sum(map(len, table.values())) == report.per_n[n]
 
 
 def test_parallel_stream_matches_sequential():

@@ -17,7 +17,9 @@ from conftest import (
     iter_pairs,
     valid_graphs,
 )
+from daghash import graphs
 from daghash.graphs import (
+    DECODE_TABLE_MAX_N,
     MAX_VERTICES,
     CapabilityExceeded,
     ColorOutOfRange,
@@ -132,7 +134,39 @@ def test_long_path_converts_in_linear_time():
     outs, ins = neighbor_lists_from_bits(n, g.bits)
     assert list(g.edges) == path
     assert time.perf_counter() - t0 < 10.0
-    assert outs[0] == [1] and outs[-1] == [] and ins[-1] == [n - 2]
+    assert outs[0] == (1,) and outs[-1] == () and ins[-1] == (n - 2,)
+
+
+def decode_cases(n_max, per_n=2000):
+    # every matrix up to 5 vertices, then empty, full and seeded random ones
+    cases = [(n, bits) for n in range(6) for bits in range(1 << pair_count(n))]
+    rng = random.Random(25)
+    for n in range(6, n_max + 1):
+        m = pair_count(n)
+        cases += [(n, 0), (n, (1 << m) - 1)] + [(n, rng.getrandbits(m)) for _ in range(per_n)]
+    return cases
+
+
+def test_table_decode_equals_find_loop(monkeypatch):
+    cases = decode_cases(DECODE_TABLE_MAX_N)
+    by_table = [neighbor_lists_from_bits(n, bits) for n, bits in cases]
+    assert graphs._decode_tables.cache_info().currsize >= DECODE_TABLE_MAX_N
+    monkeypatch.setattr(graphs, "DECODE_TABLE_MAX_N", -1)
+    assert [neighbor_lists_from_bits(n, bits) for n, bits in cases] == by_table
+    for outs, ins in by_table:
+        assert {type(outs), type(ins)} | set(map(type, outs + ins)) <= {tuple}
+
+
+def test_decode_past_table_cutoff_builds_no_table():
+    n = DECODE_TABLE_MAX_N + 1
+    before = graphs._decode_tables.cache_info()
+    for _, bits in decode_cases(n, per_n=200)[-202:]:
+        outs, ins = neighbor_lists_from_bits(n, bits)
+        want = [(i, j) for i, j in iter_pairs(n) if bits >> pair_index(n, i, j) & 1]
+        assert [(i + 1, j + 1) for i in range(n) for j in outs[i]] == want
+        assert sorted((i + 1, j + 1) for j in range(n) for i in ins[j]) == want
+        assert {type(outs), type(ins)} | set(map(type, outs + ins)) <= {tuple}
+    assert graphs._decode_tables.cache_info() == before
 
 
 def rows_from_lists(n, bits):
@@ -261,13 +295,32 @@ def test_non_int_inputs_are_graph_errors(build, case):
         build(*case)
 
 
+MALFORMED_SHAPES = {
+    "colors_none": ((2, 1, [(1, 2)], None), "colors must be a sequence"),
+    "colors_int": ((2, 1, [(1, 2)], 7), "colors must be a sequence"),
+    "edges_none": ((2, 1, None, [1, 1]), "edges must be iterable"),
+    "edge_int": ((2, 1, [5], [1, 1]), "not an .i, j. pair"),
+    "edge_triple": ((3, 1, [(1, 2, 3)], [1, 1, 1]), "not an .i, j. pair"),
+    "edge_single": ((2, 1, [(1,)], [1, 1]), "not an .i, j. pair"),
+}
+
+
+@pytest.mark.parametrize("build", [validate, normalize_dag])
+@pytest.mark.parametrize("case, message", MALFORMED_SHAPES.values(), ids=MALFORMED_SHAPES)
+def test_malformed_shapes_are_graph_errors(build, case, message):
+    # colors that are not a sequence and edges that are not pairs once
+    # raised TypeError or a bare ValueError
+    with pytest.raises(GraphError, match=message):
+        build(*case)
+
+
 def test_neighbors_and_degrees(triple):
     left = triple[0]
     outs, ins = adjacency_lists(left)
-    assert outs[0] == [1, 2, 3] and ins[0] == [] and ins[4] == [2, 3]
+    assert outs[0] == (1, 2, 3) and ins[0] == () and ins[4] == (2, 3)
     for v in range(left.n):
-        assert outs[v] == [w for w in range(left.n) if has_edge(left, v + 1, w + 1)]
-        assert ins[v] == [u for u in range(left.n) if has_edge(left, u + 1, v + 1)]
+        assert outs[v] == tuple(w for w in range(left.n) if has_edge(left, v + 1, w + 1))
+        assert ins[v] == tuple(u for u in range(left.n) if has_edge(left, u + 1, v + 1))
 
 
 def test_permutation_bijection_checked():

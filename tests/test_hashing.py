@@ -433,7 +433,7 @@ def test_isomorphic_structure_answered_from_table(monkeypatch, triple):
     monkeypatch.setattr(hashing, "_compile_kernel", never)
     monkeypatch.setattr(hashing, "_generic_invariant", never)
     for g in triple[1:]:
-        _, g_outs, g_ins, order = canonical_relabeling(g.n, *adjacency_lists(g))
+        _, g_outs, g_ins, (order, *_) = canonical_relabeling(g.n, *adjacency_lists(g))
         assert (g_outs, g_ins) == (outs, ins)
         colors = [g.colors[v] for v in order]
         assert invariant_from_lists(g.n, g_outs, g_ins, colors) == want

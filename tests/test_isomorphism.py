@@ -1,5 +1,6 @@
 """Brute-force oracle: witnesses, soundness, symmetry, the cap."""
 
+import gc
 import itertools
 import time
 
@@ -296,3 +297,16 @@ def test_verify_stream_reuses_decoded_rows():
     lookups = info.hits + info.misses
     assert lookups == 2 * report.duplicates == 380
     assert info.hits >= 0.85 * lookups
+
+
+def test_oracle_leaves_no_garbage(triple, pinned_pair):
+    # the recursive search closure referred to itself, so every call left a
+    # cycle that only the cyclic collector freed
+    for g1, g2 in ((triple[0], triple[1]), (pinned_pair.g1, pinned_pair.g2)):
+        gc.collect()
+        gc.disable()
+        try:
+            are_isomorphic(g1, g2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
