@@ -11,6 +11,7 @@ the vertex count of a packed matrix) or runs out of memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import stat
@@ -110,28 +111,37 @@ def _print_per_n(per_n: dict[int, int]) -> None:
     print(f"total: {sum(per_n.values())}")
 
 
+@contextlib.contextmanager
+def _output(path):
+    # Stdout, or the --out file until closed.  A failure up to the end of the
+    # close, the final flush included, removes the file if it is a regular
+    # one: a device, FIFO or other special file is left as it is.
+    if path is None:
+        yield sys.stdout
+        return
+    out = open(path, "w", encoding="utf-8")
+    regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode)
+    try:
+        with out:
+            yield out
+    except BaseException:
+        if regular:
+            os.unlink(path)
+        raise
+
+
 def _cmd_enumerate(args) -> int:
     config = EnumerationConfig(
         args.max_vertices, args.max_edges, args.colors, args.reserved_io
     )
     records = enumerate_graphs(config, backend=args.backend, workers=args.workers)
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     per_n: dict[int, int] = {}
-    try:
+    with _output(args.out) as out:
         for rec in records:
             per_n[rec.graph.n] = per_n.get(rec.graph.n, 0) + 1
             out.write(record_line(rec.invariant, rec.graph) + "\n")
         out.write(summary_line(per_n) + "\n")
-    except BaseException:
-        if args.out is not None:
-            # never unlink a device, FIFO or other special file named by --out
-            regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode)
-            out.close()
-            if regular:
-                os.unlink(args.out)
-        raise
     if args.out is not None:
-        out.close()
         _print_per_n(per_n)
     return 0
 
@@ -167,11 +177,8 @@ def _cmd_adversarial(args) -> int:
         print(f"degenerate construction: {e}")
         return 1
     payload = json.dumps({"g1": graph_to_dict(pair.g1), "g2": graph_to_dict(pair.g2)})
-    if args.out is None:
-        print(payload)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+    with _output(args.out) as out:
+        out.write(payload + "\n")
     print(f"digest: {digest_hex(pair.digest)}")
     print(f"digest: {digest_hex(pair.digest)}")
     print(f"certificate: {pair.certificate}")

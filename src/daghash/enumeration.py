@@ -1,9 +1,9 @@
 """Exhaustive generation of computational graphs up to isomorphism.
 
 One generation stream serves both enumeration and verification.  For each
-vertex count n up to n_max, every upper-triangular adjacency bit vector is
-decoded in increasing numeric order, pruned by edge budget and the
-input-to-output path condition, and expanded over all colorings in
+vertex count n up to n_max, every upper-triangular adjacency bit vector
+within the edge budget is decoded in increasing numeric order, pruned by
+the input-to-output path condition, and expanded over all colorings in
 lexicographic order; the stream yields each coloring's invariant digest.
 enumerate_graphs keeps a graph iff its digest has not been seen before,
 making the first-observed graph the canonical representative of its
@@ -148,18 +148,21 @@ def _surviving_matrices(n: int, e_max: int):
     coloring's images under every labeling with C's bits, which is its
     orbit under the automorphisms of C; with only one such labeling the map
     is a plain itemgetter.  The relabeling reuses the decoded lists, so each
-    matrix is decoded once.
+    matrix is decoded once.  Over-budget ints are stepped over, not visited:
+    every int between x and x plus its lowest set bit keeps x's set bits.
     """
     full = (1 << n) - 1
-    for bits in range(1 << pair_count(n)):
-        if bits.bit_count() > e_max:
-            continue
+    bits, end = 0, 1 << pair_count(n)
+    while bits < end:
         outs, ins = neighbor_lists_from_bits(n, bits)
         if span_mask(n, outs, ins) == full:
             _, outs, ins, orders = canonical_relabeling(n, outs, ins)
             getters = tuple(operator.itemgetter(*order) for order in orders)
             relabel = getters[0] if len(getters) == 1 else functools.partial(_least, getters)
             yield bits, outs, ins, relabel
+        bits += 1
+        while bits.bit_count() > e_max:
+            bits += bits & -bits
 
 
 def _least(getters, colors):

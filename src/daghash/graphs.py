@@ -84,8 +84,8 @@ def _color_tuple(n, colors) -> tuple:
     return colors
 
 
-def _int_pairs(edges) -> Iterator[tuple[int, int]]:
-    # Each edge as a pair of ints, bools excluded; GraphError on any other shape.
+def _int_pairs(edges, n) -> Iterator[tuple[int, int]]:
+    # Each edge as a pair of ints in 1..n, bools excluded; GraphError otherwise.
     try:
         edges = iter(edges)
     except TypeError:
@@ -97,6 +97,8 @@ def _int_pairs(edges) -> Iterator[tuple[int, int]]:
             raise GraphError(f"edge {e!r} is not an (i, j) pair") from None
         if not (_is_int(i) and _is_int(j)):
             raise GraphError(f"edge ({i!r}, {j!r}) has an endpoint that is not an int")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise GraphError(f"edge ({i}, {j}) has an endpoint outside 1..{n}")
         yield i, j
 
 
@@ -114,9 +116,7 @@ def pack_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
     if n > MAX_VERTICES:
         raise CapabilityExceeded(f"{n} vertices exceed MAX_VERTICES = {MAX_VERTICES}")
     packed = bytearray((pair_count(n) + 7) // 8)
-    for i, j in _int_pairs(edges):
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise GraphError(f"edge ({i}, {j}) has an endpoint outside 1..{n}")
+    for i, j in _int_pairs(edges, n):
         if i >= j:
             raise EdgeOrderViolation(f"edge ({i}, {j}) violates i < j")
         t = pair_index(n, i, j)
@@ -341,30 +341,20 @@ def apply_permutation(g: ComputationalGraph, p: Permutation) -> ComputationalGra
     n = g.n
     if len(mapping) != n:
         raise GraphError(f"permutation acts on {len(mapping)} vertices, graph has {n}")
-    # One pass over g's set bits, as in neighbor_lists_from_bits, setting
-    # each image bit in place: row i maps to row a, where pair_index(n, a,
-    # b) is off + b.
-    m = pair_count(n)
-    packed = bytearray((m + 7) // 8)
-    s = bin(g.bits)[:1:-1]
-    i, end = -1, 0
-    t = s.find("1", 0, m)
-    while t >= 0:
-        if t >= end:
-            while t >= end:
-                i += 1
-                end += n - 1 - i
-            a = mapping[i]
-            off = (a - 1) * (2 * n - a) // 2 - a - 1
-        j = t - end + n
-        b = mapping[j]
-        if a >= b:
-            raise NotLinearExtension(
-                f"edge ({i + 1}, {j + 1}) maps to ({a}, {b}), reversing the order"
-            )
-        u = off + b
-        packed[u >> 3] |= 1 << (u & 7)
-        t = s.find("1", t + 1, m)
+    # Each image bit is set in place: g's row i maps to row a, where
+    # pair_index(n, a, b) is off + b.
+    packed = bytearray((pair_count(n) + 7) // 8)
+    for i, row in enumerate(neighbor_lists_from_bits(n, g.bits)[0]):
+        a = mapping[i]
+        off = (a - 1) * (2 * n - a) // 2 - a - 1
+        for j in row:
+            b = mapping[j]
+            if a >= b:
+                raise NotLinearExtension(
+                    f"edge ({i + 1}, {j + 1}) maps to ({a}, {b}), reversing the order"
+                )
+            u = off + b
+            packed[u >> 3] |= 1 << (u & 7)
     colors = tuple([c for _, c in sorted(zip(mapping, g.colors))])
     return ComputationalGraph(n, g.k, int.from_bytes(packed, "little"), colors)
 
@@ -443,7 +433,8 @@ def canonical_relabeling(n: int, outs, ins):
     Searches the linear extensions of the DAG with 0-based out- and
     in-neighbor lists outs and ins (each edge i -> j has i < j) in
     lexicographic order.  Returns (bits, outs, ins, orders): the least
-    bits, the relabeled neighbor lists (sorted tuples), and one order per
+    bits, its neighbor lists as neighbor_lists_from_bits decodes them (the
+    lists relabeled by any of those extensions), and one order per
     extension giving the least bits, in search order: order[v] is the
     original vertex placed at position v.  The orders differ by the
     automorphisms of the relabeled DAG, so the first one names the least
@@ -461,13 +452,7 @@ def canonical_relabeling(n: int, outs, ins):
         elif bits == best:
             best_ps.append(p)
     orders = tuple(tuple(sorted(range(n), key=p.__getitem__)) for p in best_ps)
-    p, order = best_ps[0], orders[0]
-    return (
-        best,
-        tuple(tuple(sorted([p[j] for j in outs[i]])) for i in order),
-        tuple(tuple(sorted([p[j] for j in ins[i]])) for i in order),
-        orders,
-    )
+    return (best, *neighbor_lists_from_bits(n, best), orders)
 
 
 def normalize_dag(
@@ -486,9 +471,7 @@ def normalize_dag(
     _check_counts(n, k)
     colors = _color_tuple(n, colors)
     edge_set = set()
-    for i, j in _int_pairs(edges):
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise GraphError(f"edge ({i}, {j}) has an endpoint outside 1..{n}")
+    for i, j in _int_pairs(edges, n):
         if i == j:
             raise CycleDetected(f"self-loop at vertex {i}")
         edge_set.add((i, j))

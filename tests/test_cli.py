@@ -2,10 +2,13 @@
 
 import concurrent.futures
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
+import signal
+import subprocess
 import sys
 import tempfile
 import time
@@ -431,6 +434,66 @@ def test_failed_enumerate_keeps_special_out_file(monkeypatch, capsys):
     assert main(argv + ["--out", os.devnull]) == 3
     assert "exceed" in capsys.readouterr().err
     assert unlinked == []
+
+
+def run_child(argv, setup=""):
+    """Run the command line in a child process that first imports it, then
+    runs setup, then times main; returns the run and main's seconds."""
+    code = (
+        "import sys, time\nfrom daghash.cli import main\n"
+        f"{setup}\n"
+        "t0 = time.perf_counter()\ncode = main(sys.argv[1:])\n"
+        "print(f'seconds: {time.perf_counter() - t0}', file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    return run, float(run.stderr.rsplit("seconds: ", 1)[1])
+
+
+# The child may write files of at most 100 bytes, and a longer write fails
+# with EFBIG instead of killing it.
+SMALL_FILES = (
+    "import resource, signal\n"
+    "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+    "resource.setrlimit(resource.RLIMIT_FSIZE,"
+    " (100, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))"
+)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--max-vertices", "3", "--max-edges", "3", "--colors", "1"],
+    ["adversarial", "--figure2"],
+])
+def test_failed_final_write_removes_out_file(tmp_path, argv):
+    # the output fits the write buffer, so the write fails in the final
+    # flush, when the file is closed; that once left a 100-byte file
+    out = tmp_path / "out.json"
+    run, _ = run_child(argv + ["--out", str(out)], SMALL_FILES)
+    assert run.returncode == 2
+    assert run.stderr.startswith(f"error: [Errno {errno.EFBIG}] ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_scan_steps_over_budget_matrices(tmp_path, command):
+    # visiting every int below 2^66 at n = 12 never ended; the matrices
+    # within budget, at most 2,212 per n, take milliseconds
+    argv = [command, "--max-vertices", "12", "--max-edges", "2", "--colors", "1"]
+    if command == "enumerate":
+        argv += ["--out", str(tmp_path / "records.jsonl")]
+    run, seconds = run_child(argv)
+    assert run.returncode == 0, run.stderr
+    table = ["n=2: 1", "n=3: 1", "total: 2"]
+    if command == "verify":
+        table.append("all buckets pure (0 duplicate members verified)")
+    assert run.stdout.splitlines() == table
+    assert seconds < 1.0
 
 
 def test_out_of_memory_is_capability_error(tmp_path, monkeypatch, capsys):

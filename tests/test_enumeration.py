@@ -268,6 +268,22 @@ def test_canonical_relabeling_matches_brute_force():
             )
 
 
+def test_canonical_relabeling_lists_are_the_decoded_least_bits():
+    """Each least-bits extension relabels the lists, sorted, into the decode
+    of the least bits, tuples included, on every path-condition matrix with
+    n <= 6."""
+    for n in range(2, 7):
+        for bits, *_ in _surviving_matrices(n, pair_count(n)):
+            outs, ins = neighbor_lists_from_bits(n, bits)
+            least, c_outs, c_ins, orders = canonical_relabeling(n, outs, ins)
+            assert (c_outs, c_ins) == neighbor_lists_from_bits(n, least)
+            assert {type(row) for row in (c_outs, c_ins, *c_outs, *c_ins)} == {tuple}
+            for order in orders:
+                p = sorted(range(n), key=order.__getitem__)  # p[v]: v's position
+                assert c_outs == tuple(tuple(sorted(p[j] for j in outs[i])) for i in order)
+                assert c_ins == tuple(tuple(sorted(p[j] for j in ins[i])) for i in order)
+
+
 def test_surviving_matrices_relabel_colorings_consistently():
     # the canonical lists with the relabeled coloring hash like the matrix
     # with its own coloring, for every matrix, canonical or not

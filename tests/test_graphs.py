@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 import time
 
 import pytest
@@ -361,6 +362,47 @@ def test_apply_permutation_rejects_reversal():
     g = validate(4, 1, {(3, 4), (2, 4), (2, 3), (1, 2)}, [1] * 4)
     with pytest.raises(NotLinearExtension, match=r"^edge \(2, 3\) maps to \(4, 3\), reversing"):
         apply_permutation(g, Permutation((1, 4, 3, 2)))
+
+
+def reference_relabel(g, p):
+    """apply_permutation rebuilt from .edges and pack_edges."""
+    for i, j in g.edges:
+        if p(i) >= p(j):
+            raise NotLinearExtension(
+                f"edge ({i}, {j}) maps to ({p(i)}, {p(j)}), reversing the order"
+            )
+    colors = [None] * g.n
+    for v, c in enumerate(g.colors, 1):
+        colors[p(v) - 1] = c
+    bits = pack_edges(g.n, [(p(i), p(j)) for i, j in g.edges])
+    return ComputationalGraph(g.n, g.k, bits, tuple(colors))
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_apply_permutation_matches_reference(n):
+    # n = 7 and 8 decode by table, 9 and 10 by the walk over the set bits
+    assert (n <= DECODE_TABLE_MAX_N) == (n <= 8)
+    rng = random.Random(n)
+    for _ in range(200):
+        mapping = list(range(1, n + 1))
+        rng.shuffle(mapping)
+        p = Permutation(mapping)
+        dense = rng.random()
+        # every edge i -> j with p(i) < p(j): p is a linear extension
+        edges = [(i, j) for i, j in iter_pairs(n) if p(i) < p(j) and rng.random() < dense]
+        colors = tuple(rng.randint(1, 3) for _ in range(n))
+        g = ComputationalGraph(n, 3, pack_edges(n, edges), colors)
+        assert apply_permutation(g, p) == reference_relabel(g, p)
+        # one more edge that p reverses, unless p preserves every pair
+        reversed_pairs = [(i, j) for i, j in iter_pairs(n) if p(i) > p(j)]
+        if reversed_pairs:
+            bad = ComputationalGraph(
+                n, 3, g.bits | pack_edges(n, [rng.choice(reversed_pairs)]), colors
+            )
+            with pytest.raises(NotLinearExtension) as want:
+                reference_relabel(bad, p)
+            with pytest.raises(NotLinearExtension, match=f"^{re.escape(str(want.value))}$"):
+                apply_permutation(bad, p)
 
 
 def test_linear_extensions_total_orders():

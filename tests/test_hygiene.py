@@ -1,9 +1,9 @@
 """Source hygiene: every imported name is used where it is imported, every
 public function of the package is part of its API, no package module imports
-another's underscore names, only graphs.py reads the packed layout, only the
-md5 kernel builder generates code, every NamedTuple that checks its fields
-in __new__ routes _make through it, and importing the package loads no
-process-pool module and no dataclasses."""
+another's underscore names, only graphs.py reads the packed layout, only its
+decoder walks the set bits, only the md5 kernel builder generates code, every
+NamedTuple that checks its fields in __new__ routes _make through it, and
+importing the package loads no process-pool module and no dataclasses."""
 
 import ast
 import subprocess
@@ -163,6 +163,39 @@ def test_code_generated_in_one_place():
     ]
     assert not found, "code generation outside the kernel builder:\n" + "\n".join(found)
     assert ("_compile_kernel", "exec") in uses["hashing"]
+
+
+# One walk over a packed matrix's set bits: the decoder's, above the table
+# sizes.  Every other reader of the matrix takes the decoded lists.
+BIN_HOMES = [("graphs", "neighbor_lists_from_bits")]
+
+
+def bin_uses(source: str) -> list[str | None]:
+    """The enclosing module-level def or class, or None, of every Name or
+    Attribute node that reads bin."""
+    return [
+        stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for stmt in ast.parse(source).body
+        for node in ast.walk(stmt)
+        if getattr(node, "id", getattr(node, "attr", None)) == "bin"
+    ]
+
+
+def test_bin_uses_detected():
+    src = (
+        "import builtins\nx = bin(3)\ndef f(b):\n    return bin(b)[2:]\n"
+        "class C:\n    w = builtins.bin\ndef g(binary): return binary\n"
+    )
+    assert bin_uses(src) == [None, "f", "C"]
+
+
+def test_set_bits_walked_in_one_place():
+    found = [
+        (p.stem, owner)
+        for p in sorted((ROOT / "src/daghash").glob("*.py"))
+        for owner in bin_uses(p.read_text(encoding="utf-8"))
+    ]
+    assert found == BIN_HOMES, f"bin read outside the decoder: {found}"
 
 
 def private_imports(source: str) -> list[str]:
