@@ -47,6 +47,7 @@ from .graphs import (
     CapabilityExceeded,
     ComputationalGraph,
     canonical_relabeling,
+    checked_tuple,
     neighbor_lists_from_bits,
     pair_count,
     span_mask,
@@ -59,7 +60,7 @@ from .isomorphism import ORACLE_MAX_VERTICES, OracleCapExceeded, are_isomorphic
 MAX_COLORINGS = 1 << 20
 
 
-class EnumerationConfig(NamedTuple(
+class EnumerationConfig(checked_tuple(
     "EnumerationConfig", [("n_max", int), ("e_max", int), ("k", int), ("reserved_io", bool)]
 )):
     """Search space bounds: vertex budget, edge budget, interior palette.
@@ -70,12 +71,6 @@ class EnumerationConfig(NamedTuple(
     """
 
     __slots__ = ()
-    # _replace builds through _make, and pickle protocols 0 and 1 through
-    # tuple.__new__; both would skip the checks in __new__.
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __reduce__(self):
-        return type(self), tuple(self)
 
     def __new__(cls, n_max: int, e_max: int, k: int, reserved_io: bool = False):
         for name, v, least in (("n_max", n_max, 2), ("e_max", e_max, 1), ("k", k, 1)):

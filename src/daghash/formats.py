@@ -28,18 +28,13 @@ def graph_to_dict(g: ComputationalGraph) -> dict:
     }
 
 
-def _is_int(v) -> bool:
-    # JSON true/false load as bool, which Python counts as int.
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def graph_from_dict(obj, normalize: bool = False) -> ComputationalGraph:
     """Parse and validate the JSON-object form of a graph.
 
     With normalize set, arbitrarily-oriented DAG edges are relabeled into
     i < j form first; otherwise out-of-order edges are a validation error.
-    Booleans are not accepted where integers are expected, and an edge
-    listed twice is an error rather than merged.
+    Integers are exact ints (bool and other int subclasses refused), and an
+    edge listed twice is an error rather than merged.
     """
     if not isinstance(obj, Mapping):
         raise GraphError(f"expected a JSON object, got {type(obj).__name__}")
@@ -54,16 +49,15 @@ def graph_from_dict(obj, normalize: bool = False) -> ComputationalGraph:
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise GraphError("edges must be a list of [i, j] pairs")
-    edges = []
+    # One pass; the dict keeps list order, so validate reports as before.
+    edges = {}
     for e in raw_edges:
-        if not isinstance(e, list) or len(e) != 2 or not all(map(_is_int, e)):
+        if not isinstance(e, list) or len(e) != 2 or not {int}.issuperset(map(type, e)):
             raise GraphError(f"bad edge entry {e!r}; expected [i, j]")
-        edges.append((e[0], e[1]))
-    seen = set()
-    for e in edges:
-        if e in seen:
-            raise GraphError(f"edge {list(e)} is listed more than once")
-        seen.add(e)
+        pair = (e[0], e[1])
+        if pair in edges:
+            raise GraphError(f"edge {e} is listed more than once")
+        edges[pair] = None
     if normalize:
         return normalize_dag(obj["n"], obj["k"], edges, colors)
     return validate(obj["n"], obj["k"], edges, colors)

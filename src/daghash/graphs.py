@@ -60,13 +60,10 @@ def pair_index(n: int, i: int, j: int) -> int:
     return (i - 1) * (2 * n - i) // 2 + (j - i - 1)
 
 
-def _is_int(v) -> bool:
-    # bool is an int subclass, so True would pass for 1 and hash like it.
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
+# An int here is exactly int: bool and every other int subclass are refused,
+# since True would pass for 1 and hash like it.
 def _check_counts(n, k) -> None:
-    if not (_is_int(n) and _is_int(k)):
+    if not (type(n) is int and type(k) is int):
         raise GraphError(f"vertex and color counts must be ints, got {n!r} and {k!r}")
     if n < 1:
         raise GraphError(f"vertex count must be positive, got {n}")
@@ -85,7 +82,7 @@ def _color_tuple(n, colors) -> tuple:
 
 
 def _int_pairs(edges, n) -> Iterator[tuple[int, int]]:
-    # Each edge as a pair of ints in 1..n, bools excluded; GraphError otherwise.
+    # Each edge as a pair of exact ints in 1..n; GraphError otherwise.
     try:
         edges = iter(edges)
     except TypeError:
@@ -95,7 +92,7 @@ def _int_pairs(edges, n) -> Iterator[tuple[int, int]]:
             i, j = e
         except (TypeError, ValueError):
             raise GraphError(f"edge {e!r} is not an (i, j) pair") from None
-        if not (_is_int(i) and _is_int(j)):
+        if not (type(i) is int and type(j) is int):
             raise GraphError(f"edge ({i!r}, {j!r}) has an endpoint that is not an int")
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i}, {j}) has an endpoint outside 1..{n}")
@@ -106,16 +103,21 @@ def _int_pairs(edges, n) -> Iterator[tuple[int, int]]:
 MAX_VERTICES = 1 << 14
 
 
+def _empty_matrix(n: int) -> bytearray:
+    # A zeroed packed matrix, refused before allocating past MAX_VERTICES.
+    if n > MAX_VERTICES:
+        raise CapabilityExceeded(f"{n} vertices exceed MAX_VERTICES = {MAX_VERTICES}")
+    return bytearray((pair_count(n) + 7) // 8)
+
+
 def pack_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
     """Pack an i < j edge set into the upper-triangular bit matrix.
 
     Raises CapabilityExceeded, before allocating, if n exceeds MAX_VERTICES,
     and GraphError on an edge that is not a pair or an endpoint that is not
-    an int (bools included) or lies outside 1..n.
+    an exact int (bool and other int subclasses refused) or lies outside 1..n.
     """
-    if n > MAX_VERTICES:
-        raise CapabilityExceeded(f"{n} vertices exceed MAX_VERTICES = {MAX_VERTICES}")
-    packed = bytearray((pair_count(n) + 7) // 8)
+    packed = _empty_matrix(n)
     for i, j in _int_pairs(edges, n):
         if i >= j:
             raise EdgeOrderViolation(f"edge ({i}, {j}) violates i < j")
@@ -124,7 +126,20 @@ def pack_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
     return int.from_bytes(packed, "little")
 
 
-class ComputationalGraph(NamedTuple(
+def checked_tuple(name: str, fields: list[tuple[str, type]]) -> type:
+    """A NamedTuple base whose _make and pickling build through the subclass.
+
+    A subclass that checks its fields in __new__ keeps them checked under
+    _replace, which builds through _make, and under copy.deepcopy and
+    unpickling at every protocol; 0 and 1 would otherwise call tuple.__new__.
+    """
+    base = NamedTuple(name, fields)
+    base._make = classmethod(lambda cls, fields: cls(*fields))
+    base.__reduce__ = lambda self: (type(self), tuple(self))
+    return base
+
+
+class ComputationalGraph(checked_tuple(
     "ComputationalGraph", [("n", int), ("k", int), ("bits", int), ("colors", tuple[int, ...])]
 )):
     """A colored DAG in canonical i < j edge representation.
@@ -136,12 +151,6 @@ class ComputationalGraph(NamedTuple(
     """
 
     __slots__ = ()
-    # _replace builds through _make, and pickle protocols 0 and 1 through
-    # tuple.__new__; both would skip the check in __new__.
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __reduce__(self):
-        return type(self), tuple(self)
 
     def __new__(cls, n: int, k: int, bits: int, colors: tuple[int, ...]):
         if (type(n) is not int or type(bits) is not int or type(colors) is not tuple
@@ -167,16 +176,10 @@ class ComputationalGraph(NamedTuple(
         return self.bits.bit_count()
 
 
-class Permutation(NamedTuple("Permutation", [("mapping", tuple[int, ...])])):
+class Permutation(checked_tuple("Permutation", [("mapping", tuple[int, ...])])):
     """A bijection on vertices 1..n; mapping[i-1] is the image of vertex i."""
 
     __slots__ = ()
-    # _replace builds through _make, and pickle protocols 0 and 1 through
-    # tuple.__new__; both would skip the check in __new__.
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __reduce__(self):
-        return type(self), tuple(self)
 
     def __new__(cls, mapping: Iterable[int]):
         mapping = tuple(mapping)
@@ -310,13 +313,13 @@ def validate(
     Raises EdgeOrderViolation, ColorOutOfRange, or PathConditionViolation
     (naming the smallest offending vertex), plus GraphError for size
     mismatches, for colors that are not a sequence or an edge that is not a
-    pair, and for an n, k, color or endpoint that is not an int; bools are
-    not ints here.
+    pair, and for an n, k, color or endpoint that is not an exact int (bool
+    and other int subclasses refused).
     """
     _check_counts(n, k)
     colors = _color_tuple(n, colors)
     for i, c in enumerate(colors, start=1):
-        if not _is_int(c):
+        if type(c) is not int:
             raise GraphError(f"vertex {i} has color {c!r}, not an int")
         if not 1 <= c <= k:
             raise ColorOutOfRange(f"vertex {i} has color {c}, outside 1..{k}")
@@ -335,7 +338,8 @@ def apply_permutation(g: ComputationalGraph, p: Permutation) -> ComputationalGra
 
     Succeeds only when p is a linear extension of the DAG order, i.e. no
     edge is reversed; raises NotLinearExtension otherwise.  Raises
-    GraphError when p does not act on exactly g's n vertices.
+    GraphError when p does not act on exactly g's n vertices, and
+    CapabilityExceeded, before allocating, if n exceeds MAX_VERTICES.
     """
     mapping = p.mapping
     n = g.n
@@ -343,7 +347,7 @@ def apply_permutation(g: ComputationalGraph, p: Permutation) -> ComputationalGra
         raise GraphError(f"permutation acts on {len(mapping)} vertices, graph has {n}")
     # Each image bit is set in place: g's row i maps to row a, where
     # pair_index(n, a, b) is off + b.
-    packed = bytearray((pair_count(n) + 7) // 8)
+    packed = _empty_matrix(n)
     for i, row in enumerate(neighbor_lists_from_bits(n, g.bits)[0]):
         a = mapping[i]
         off = (a - 1) * (2 * n - a) // 2 - a - 1

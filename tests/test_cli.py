@@ -186,6 +186,11 @@ def test_duplicate_edge_found_in_one_pass():
     twice = {**DUPLICATE_EDGE, "edges": [[1, 2], [2, 3], [2, 3], [1, 2]]}
     with pytest.raises(GraphError, match=r"^edge \[2, 3\] is listed"):
         graph_from_dict(twice)
+    # the pass stops at the first fault, so a repeat before a bad entry is
+    # the one named
+    repeat_first = {**DUPLICATE_EDGE, "edges": [[1, 2], [1, 2], [2, True]]}
+    with pytest.raises(GraphError, match=r"^edge \[1, 2\] is listed"):
+        graph_from_dict(repeat_first)
 
 
 @pytest.mark.parametrize("command", ["hash", "hash --normalize"])

@@ -1,6 +1,7 @@
 """Graph model: packing, validation, relabeling, normalization."""
 
 import copy
+import enum
 import itertools
 import pickle
 import random
@@ -19,6 +20,7 @@ from conftest import (
     valid_graphs,
 )
 from daghash import graphs
+from daghash.formats import graph_from_dict
 from daghash.graphs import (
     DECODE_TABLE_MAX_N,
     MAX_VERTICES,
@@ -43,6 +45,7 @@ from daghash.graphs import (
     span_mask,
     validate,
 )
+from daghash.isomorphism import verify_witness
 
 
 def test_pair_order_is_row_major():
@@ -244,6 +247,19 @@ def test_pack_edges_refuses_past_vertex_cap():
         pack_edges(MAX_VERTICES + 1, [(1, 2)])
 
 
+def test_apply_permutation_refuses_past_vertex_cap():
+    # only pack_edges checked the cap: verify_witness allocated this graph's
+    # 16 MiB image and returned True
+    n = MAX_VERTICES + 1
+    g = ComputationalGraph(n, 1, 0, (1,) * n)
+    p = identity_permutation(n)
+    message = rf"^{n} vertices exceed MAX_VERTICES = {MAX_VERTICES}$"
+    with pytest.raises(CapabilityExceeded, match=message):
+        apply_permutation(g, p)
+    with pytest.raises(CapabilityExceeded, match=message):
+        verify_witness(g, g, p)
+
+
 def test_validate_smallest_graph():
     g = validate(2, 1, {(1, 2)}, [1, 1])
     assert (g.n, g.k, g.colors) == (2, 1, (1, 1))
@@ -294,6 +310,38 @@ def test_non_int_inputs_are_graph_errors(build, case):
     # bool colors [True, 1] hashed as [1, 1]
     with pytest.raises(GraphError, match="not an int|must be ints"):
         build(*case)
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+INT_SUBCLASS_INPUTS = {
+    "n": (Small.TWO, 2, [(1, 2)], [1, 1]),
+    "k": (2, Small.TWO, [(1, 2)], [1, 1]),
+    "color": (2, 2, [(1, 2)], [Small.ONE, 1]),
+    "endpoint": (2, 1, [(Small.ONE, 2)], [1, 1]),
+}
+
+
+def graph_from_fields(n, k, edges, colors):
+    return graph_from_dict({"n": n, "k": k, "colors": colors, "edges": [list(e) for e in edges]})
+
+
+@pytest.mark.parametrize("build", [validate, normalize_dag, graph_from_fields])
+@pytest.mark.parametrize("case", INT_SUBCLASS_INPUTS.values(), ids=INT_SUBCLASS_INPUTS)
+def test_int_subclasses_are_graph_errors(build, case):
+    # ints are exact: an IntEnum k, color or endpoint once built a graph, and
+    # an IntEnum n failed only in the constructor, naming its bit length
+    with pytest.raises(GraphError, match="not an int|must be ints|^bad edge entry"):
+        build(*case)
+
+
+def test_pack_edges_refuses_int_subclass_endpoints():
+    message = r"^edge \(<Small.ONE: 1>, 2\) has an endpoint that is not an int$"
+    with pytest.raises(GraphError, match=message):
+        pack_edges(2, [(Small.ONE, 2)])
 
 
 MALFORMED_SHAPES = {

@@ -1,9 +1,10 @@
 """Source hygiene: every imported name is used where it is imported, every
 public function of the package is part of its API, no package module imports
 another's underscore names, only graphs.py reads the packed layout, only its
-decoder walks the set bits, only the md5 kernel builder generates code, every
-NamedTuple that checks its fields in __new__ routes _make through it, and
-importing the package loads no process-pool module and no dataclasses."""
+decoder walks the set bits, only the md5 kernel builder generates code, ints
+are tested one way (type(v) is int, never isinstance), every NamedTuple that
+checks its fields in __new__ routes _make through it, and importing the
+package loads no process-pool module and no dataclasses."""
 
 import ast
 import subprocess
@@ -198,6 +199,43 @@ def test_set_bits_walked_in_one_place():
     assert found == BIN_HOMES, f"bin read outside the decoder: {found}"
 
 
+# One int rule: an int is exactly int, tested as type(v) is int.  An
+# isinstance(v, int) admits bool and IntEnum unless a second test excludes
+# them, and two such rules drift apart.
+INT_TESTS = {"isinstance", "issubclass"}
+INT_TYPES = {"int", "bool"}
+
+
+def int_isinstance_calls(source: str) -> list[int]:
+    """Line numbers of isinstance and issubclass calls whose class argument
+    names int or bool, alone or among others."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and len(node.args) == 2
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in INT_TESTS
+        and INT_TYPES & {getattr(n, "id", None) for n in ast.walk(node.args[1])}
+    ]
+
+
+def test_int_isinstance_calls_detected():
+    src = (
+        "import builtins\na = isinstance(x, int)\nb = isinstance(x, (str, bool))\n"
+        "c = isinstance(x, list)\nd = builtins.isinstance(x, int)\n"
+        "e = issubclass(t, int)\nf = type(x) is int\ng = isinstance(x, integer)\n"
+    )
+    assert int_isinstance_calls(src) == [2, 3, 5, 6]
+
+
+def test_ints_tested_one_way():
+    found = [
+        f"{p.name}:{line}"
+        for p in sorted((ROOT / "src/daghash").glob("*.py"))
+        for line in int_isinstance_calls(p.read_text(encoding="utf-8"))
+    ]
+    assert not found, "isinstance int tests, not type(v) is int:\n" + "\n".join(found)
+
+
 def private_imports(source: str) -> list[str]:
     """Imports of underscore names from the package's own modules."""
     return [
@@ -235,20 +273,24 @@ def test_no_private_names_across_modules():
 
 
 def checked_named_tuples(source: str) -> dict[str, bool]:
-    """For each class built on NamedTuple or namedtuple that defines __new__,
-    whether it also assigns or defines _make."""
+    """For each class built on NamedTuple, namedtuple or graphs.checked_tuple
+    that defines __new__, whether it builds on checked_tuple, which routes
+    _make, or assigns or defines _make itself."""
     found = {}
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef) and {"NamedTuple", "namedtuple"} & {
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {
             n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
             for b in node.bases for n in ast.walk(b)
-        }:
+        }
+        if {"NamedTuple", "namedtuple", "checked_tuple"} & bases:
             own = {s.name for s in node.body if isinstance(s, ast.FunctionDef)} | {
                 t.id for s in node.body if isinstance(s, ast.Assign)
                 for t in s.targets if isinstance(t, ast.Name)
             }
             if "__new__" in own:
-                found[node.name] = "_make" in own
+                found[node.name] = "checked_tuple" in bases or "_make" in own
     return found
 
 
@@ -260,13 +302,16 @@ def test_checked_named_tuples_detected():
         "    def __new__(cls, x): ...\n"
         "class C(typing.NamedTuple):\n    x: int\n"
         "class D:\n    def __new__(cls): ...\n    def _make(self): ...\n"
+        "class E(graphs.checked_tuple('E', [('x', int)])):\n    def __new__(cls, x): ...\n"
+        "class F(typing.NamedTuple('F', [('x', int)])):\n    def __reduce__(self): ...\n"
+        "    def __new__(cls, x): ...\n"
     )
-    assert checked_named_tuples(src) == {"A": False, "B": True}
+    assert checked_named_tuples(src) == {"A": False, "B": True, "E": True, "F": False}
 
 
 def test_checked_named_tuples_route_make():
     # namedtuple's _make, and so _replace, builds with tuple.__new__ and
-    # would skip the check in __new__
+    # would skip the check in __new__; graphs.checked_tuple's does not
     found = {
         name: routed
         for p in sorted((ROOT / "src/daghash").glob("*.py"))
