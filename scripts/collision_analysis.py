@@ -18,7 +18,7 @@ from daghash.adversarial import (
     middle_component_sizes,
 )
 from daghash.graphs import validate
-from daghash.hashing import digest_hex, graph_invariant, refinement_trace
+from daghash.hashing import digest_hex, graph_invariant, graph_invariants, refinement_trace
 from daghash.isomorphism import are_isomorphic
 
 LEAST_PAIR = (
@@ -71,7 +71,8 @@ def show_least_pair():
     print(f"digest g1: {digest_hex(d1)}")
     print(f"digest g2: {digest_hex(d2)}")
     print(f"equal: {d1 == d2}")
-    print(f"concat equal: {graph_invariant(g1, 'concat') == graph_invariant(g2, 'concat')}")
+    c1, c2 = graph_invariants([g1, g2], "concat")
+    print(f"concat equal: {c1 == c2}")
     print(f"isomorphic: {are_isomorphic(g1, g2).isomorphic}")
     r1, r2 = (validate(8, 5, edges, RESERVED_IO) for edges in LEAST_PAIR)
     print(f"equal with colors {RESERVED_IO}: {graph_invariant(r1) == graph_invariant(r2)}")

@@ -25,11 +25,14 @@ one function per vertex and neighbor lists, compiled once per n and shared
 by every structure with that row.  It reads round 0 from per-vertex tables
 by color.  md5 is CPython's ``_md5`` or ``hashlib.md5``.
 
-A final concat digest is written straight from round n-1: round n's digest
-of a vertex would only join its sorted neighbor digests and its own, so the
-one-shot and batch paths sort those parts per vertex and join them once.
-``_row`` lays out that per-vertex input, for ``_refine`` and this final alike.
-The bytes are the same, and round n never sits in memory beside the result.
+A concat digest need not be joined to be compared.  ``_row`` lays out a
+vertex's round input as a tuple of counts and digests, and as the digests of
+one round are self-delimiting, such tuples order exactly as their joins.  So
+from the first round whose largest digest passes a private size, the
+one-shot and batch paths keep concat rounds as ropes, tuples of shared
+parts, and they never build round n: the final sorts its rows and joins
+their leaves, the one large copy.  ``refinement_trace``, ``refine_round``
+and ``final_digest`` build bytes only.
 
 For md5, ``invariant_from_lists`` also keeps a table of the digests it has
 computed for the current n, keyed by (structure, colors), and drops it when n
@@ -64,12 +67,22 @@ BACKENDS = ("md5", "concat")
 
 CONCAT_MAX_BYTES = 1 << 30  # the pinned 10-vertex pair needs 534,164,472
 
-# Shared LE64 encodings of 0..127.  The concat final memo is keyed on the ids
-# of a digest's parts, so it hits only because the degree counts among those
-# parts are these shared objects.  A count of 128 or more needs n >= 129, and
-# such a vertex pushes the digest past CONCAT_MAX_BYTES by round 6 (as the
-# 128-leaf star, the smallest such graph, does), so the size guard refuses
-# the graph before any round is built and the memo is never reached.
+# Concat rounds from the first whose largest digest passes _ROPE_BYTES are
+# ropes, but only within the last _ROPE_DEPTH rounds.  A smaller digest
+# copies more cheaply than a rope is built, sorted and flattened: at 4 KiB
+# the pinned pair flattens 392,831 parts and is no faster than joining every
+# round, at 64 KiB 21,887.  Comparing two ropes recurses once per rope round
+# in C, so the depth stays far below the interpreter's recursion limit; only
+# an edgeless graph has more than a few dozen rounds within the cap.
+_ROPE_BYTES = 1 << 16
+_ROPE_DEPTH = 64
+
+# Shared LE64 encodings of 0..127.  The concat rope and final memos are keyed
+# on the ids of a digest's parts, so they hit only because the degree counts
+# among those parts are these shared objects.  A count of 128 or more needs
+# n >= 129, and such a vertex pushes the digest past CONCAT_MAX_BYTES by
+# round 6 (as the 128-leaf star, the smallest such graph, does), so the size
+# guard refuses the graph before any round is built and no memo is reached.
 _LE64 = [struct.pack("<Q", v) for v in range(128)]
 
 
@@ -150,24 +163,36 @@ def final_digest(n: int, digests: Sequence[Digest], backend: str = "md5") -> Dig
     return d(b"".join([_le64(n)] + sorted(digests)))
 
 
-def _rounds(n, outs, ins, colors, d, memo):
+def _rounds(n, outs, ins, colors, d, memo, ropes=False):
     # Yields the initial digest list, then the list after each of n rounds.
+    # With ropes, concat rounds past _ROPE_BYTES are ropes (see _rope); sizes
+    # grow every round, so no bytes round follows a rope round.
     if d is _identity:
-        # A concat digest starts at 24 bytes; a round adds 16 and the neighbors'.
-        # Sizes only grow, so the first round over the cap refuses the graph.
-        size = [24] * n
-        for _ in range(n):
-            size = [16 + size[i] + sum(size[j] for j in (*outs[i], *ins[i])) for i in range(n)]
-            if (total := 8 + sum(size)) > CONCAT_MAX_BYTES:
-                raise CapabilityExceeded(
-                    f"concat digest of at least {total} bytes exceeds CONCAT_MAX_BYTES"
-                )
+        largest = _concat_sizes(n, outs, ins)
     h = [d(_le64(len(outs[i])) + _le64(len(ins[i])) + _le64(colors[i])) for i in range(n)]
     yield h
-    for _ in range(n):
-        # No md5 input recurs across rounds, so a round's memo dies with it.
-        h = _refine(n, outs, ins, h, d, memo if d is _identity else {})
+    for r in range(1, n + 1):
+        if ropes and largest[r] > _ROPE_BYTES and r > n - _ROPE_DEPTH:
+            h = _rope(n, outs, ins, h, memo)
+        else:
+            # No md5 input recurs across rounds, so a round's memo dies with it.
+            h = _refine(n, outs, ins, h, d, memo if d is _identity else {})
         yield h
+
+
+def _concat_sizes(n, outs, ins):
+    # The largest concat digest of each of rounds 0..n.  A digest starts at 24
+    # bytes; a round adds 16 and the neighbors'.  Sizes only grow, so the
+    # first round whose digests total past the cap refuses the graph.
+    size, largest = [24] * n, [24]
+    for _ in range(n):
+        size = [16 + size[i] + sum(size[j] for j in (*outs[i], *ins[i])) for i in range(n)]
+        if (total := 8 + sum(size)) > CONCAT_MAX_BYTES:
+            raise CapabilityExceeded(
+                f"concat digest of at least {total} bytes exceeds CONCAT_MAX_BYTES"
+            )
+        largest.append(max(size))
+    return largest
 
 
 def _row(h, outs, ins, i):
@@ -193,6 +218,29 @@ def _refine(n, outs, ins, h, d, memo):
             got = memo[row] = d(b"".join(row))
         new.append(got)
     return new
+
+
+def _rope(n, outs, ins, h, memo):
+    # A rope digest is vertex i's _row itself, standing for the row's join.
+    # It is interned by the ids of its parts, which past round 0 are shared
+    # per content (by _refine's memo, then by this one), so equal digests
+    # are one object and a row hashes without reading its bytes.  The entry
+    # holds the parts, so no id in a key is reused while it is cached; keys
+    # of ints never equal the rows of bytes that share the memo.
+    new = []
+    for i in range(n):
+        row = _row(h, outs, ins, i)
+        new.append(memo.setdefault(tuple(map(id, row)), row))
+    return new
+
+
+def _leaves(parts):
+    # The byte strings that parts join, in order, one rope level at a time.
+    # Every digest among the parts is of one round, the last part's, so some
+    # part is a rope exactly while the last one is.
+    while type(parts[-1]) is tuple:
+        parts = [q for p in parts for q in (p if type(p) is tuple else (p,))]
+    return parts
 
 
 def invariant_from_lists(
@@ -256,13 +304,16 @@ def _generic_invariant(n, outs, ins, colors, d, ctx):
         h = deque(_rounds(n, outs, ins, colors, d, memo), maxlen=1).pop()
         h.sort()
         return d(b"".join([_le64(n)] + h))
-    # concat never builds round n: its digest for vertex i would be the join of
-    # vertex i's _row over round n-1, so the rows are sorted and written out
-    # once.  Every concat digest of one round is self-delimiting (its counts
-    # say how many self-delimiting digests follow), so two different rows
-    # first differ in a pair of aligned parts of which neither is a prefix of
-    # the other: ordering the tuples orders the joined bytes exactly.
-    h = deque(islice(_rounds(n, outs, ins, colors, d, memo), max(n, 1)), maxlen=1).pop()
+    # Round n is never built: vertex i's digest would be its _row over round
+    # n-1, so the final sorts those rows and joins their leaves once, the
+    # only join of a rope.  Every concat digest of one round is
+    # self-delimiting (its counts say how many self-delimiting digests
+    # follow), so two different rows first differ in a pair of aligned parts
+    # of which neither is a prefix of the other: at each rope level, ordering
+    # the tuples orders the joined bytes exactly.  That needs a round to be
+    # all bytes or all ropes, as bytes and tuples do not compare.
+    rounds = _rounds(n, outs, ins, colors, d, memo, ropes=True)
+    h = deque(islice(rounds, max(n, 1)), maxlen=1).pop()
     rows = sorted(_row(h, outs, ins, i) for i in range(n))
     parts = [p for row in rows for p in row]
     # Keyed on ids, which is cheaper than hashing hundreds of megabytes; the
@@ -270,7 +321,7 @@ def _generic_invariant(n, outs, ins, colors, d, ctx):
     # n = 1 the parts are round-0 digests, which the round memo never holds).
     key = (n, tuple(map(id, parts)))
     if key not in final_memo:
-        final_memo[key] = (parts, b"".join([_le64(n)] + parts))
+        final_memo[key] = (parts, b"".join(_leaves([_le64(n)] + parts)))
     return final_memo[key][1]
 
 
@@ -281,10 +332,11 @@ def graph_invariants(
 
     Returns exactly what mapping ``graph_invariant`` over the sequence would,
     but the graphs share one builder state, which only concat reads, so concat
-    digests that several graphs have in common are built once and shared.
-    Worth using whenever concat digests of related graphs are compared: for a
-    pair whose refinement agrees everywhere the second graph costs almost
-    nothing and the final equality check is an identity test.
+    digests that several graphs have in common, joined or kept as ropes, are
+    built once and shared.  Worth using whenever concat digests of related
+    graphs are compared: for a pair whose refinement agrees everywhere the
+    second graph costs almost nothing and its final digest is the same
+    object, so the equality check is an identity test.
     """
     d, ctx = digest_function(backend), ({}, {})
     return [_generic_invariant(g.n, *adjacency_lists(g), g.colors, d, ctx) for g in graphs]
