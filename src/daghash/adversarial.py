@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import (
-    MAX_VERTICES, CapabilityExceeded, ComputationalGraph, adjacency_lists, pack_edges,
+    MAX_VERTICES, CapabilityExceeded, ComputationalGraph, adjacency_lists, validate,
 )
 from .hashing import graph_invariant
 from .isomorphism import ORACLE_MAX_VERTICES, are_isomorphic
@@ -113,9 +113,7 @@ def _layered_pair(degree, size, color_a, color_b) -> AdversarialPair:
     ]
     io = max(color_a, color_b) + 1
     colors = (io,) + (color_a,) * m + (color_b,) * m + (io,)
-    g1 = ComputationalGraph(n, io, pack_edges(n, ends + mid1), colors)
-    g2 = ComputationalGraph(n, io, pack_edges(n, ends + mid2), colors)
-    return _certified(g1, g2)
+    return _certified(validate(n, io, ends + mid1, colors), validate(n, io, ends + mid2, colors))
 
 
 def counterexample_pair(color_a: int = 1, color_b: int = 2) -> AdversarialPair:
@@ -126,9 +124,8 @@ def counterexample_pair(color_a: int = 1, color_b: int = 2) -> AdversarialPair:
     middle wiring, a single 8-cycle against two disjoint 4-cycles.  Layer
     colors are color_a and color_b (which may be equal); the input and
     output vertices share a further color one past the larger of the two.
+    Both are built through validate, whose GraphError refuses a bad color.
     """
-    if color_a < 1 or color_b < 1:
-        raise ValueError("colors must be positive integers")
     return _layered_pair(2, 4, color_a, color_b)
 
 

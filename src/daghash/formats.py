@@ -29,38 +29,20 @@ def graph_to_dict(g: ComputationalGraph) -> dict:
 
 
 def graph_from_dict(obj, normalize: bool = False) -> ComputationalGraph:
-    """Parse and validate the JSON-object form of a graph.
+    """Build a graph from its JSON-object form through validate.
 
-    With normalize set, arbitrarily-oriented DAG edges are relabeled into
-    i < j form first; otherwise out-of-order edges are a validation error.
-    Integers are exact ints (bool and other int subclasses refused), and an
-    edge listed twice is an error rather than merged.
+    Only the envelope is checked here: a mapping with keys n, k, colors and
+    edges.  The fields go to validate, or with normalize set to
+    normalize_dag, which relabels arbitrarily-oriented DAG edges into i < j
+    form first; their errors, an edge listed twice included, are raised as is.
     """
     if not isinstance(obj, Mapping):
         raise GraphError(f"expected a JSON object, got {type(obj).__name__}")
     missing = {"n", "k", "colors", "edges"} - obj.keys()
     if missing:
         raise GraphError(f"graph object lacks keys: {sorted(missing)}")
-    # validate and normalize_dag refuse a non-int n, k or color; the edge
-    # entries are checked here, before the duplicate check hashes them.
-    colors = obj["colors"]
-    if not isinstance(colors, list):
-        raise GraphError("colors must be a list of integers")
-    raw_edges = obj["edges"]
-    if not isinstance(raw_edges, list):
-        raise GraphError("edges must be a list of [i, j] pairs")
-    # One pass; the dict keeps list order, so validate reports as before.
-    edges = {}
-    for e in raw_edges:
-        if not isinstance(e, list) or len(e) != 2 or not {int}.issuperset(map(type, e)):
-            raise GraphError(f"bad edge entry {e!r}; expected [i, j]")
-        pair = (e[0], e[1])
-        if pair in edges:
-            raise GraphError(f"edge {e} is listed more than once")
-        edges[pair] = None
-    if normalize:
-        return normalize_dag(obj["n"], obj["k"], edges, colors)
-    return validate(obj["n"], obj["k"], edges, colors)
+    build = normalize_dag if normalize else validate
+    return build(obj["n"], obj["k"], obj["edges"], obj["colors"])
 
 
 def load_graph(path, normalize: bool = False) -> ComputationalGraph:

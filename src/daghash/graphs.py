@@ -114,14 +114,17 @@ def pack_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
     """Pack an i < j edge set into the upper-triangular bit matrix.
 
     Raises CapabilityExceeded, before allocating, if n exceeds MAX_VERTICES,
-    and GraphError on an edge that is not a pair or an endpoint that is not
-    an exact int (bool and other int subclasses refused) or lies outside 1..n.
+    and GraphError on an edge that is not a pair, an endpoint that is not an
+    exact int (bool and other int subclasses refused) or lies outside 1..n,
+    and on an edge listed more than once (the first repeat in list order).
     """
     packed = _empty_matrix(n)
     for i, j in _int_pairs(edges, n):
         if i >= j:
             raise EdgeOrderViolation(f"edge ({i}, {j}) violates i < j")
         t = pair_index(n, i, j)
+        if packed[t >> 3] >> (t & 7) & 1:
+            raise GraphError(f"edge ({i}, {j}) is listed more than once")
         packed[t >> 3] |= 1 << (t & 7)
     return int.from_bytes(packed, "little")
 
@@ -312,9 +315,9 @@ def validate(
 
     Raises EdgeOrderViolation, ColorOutOfRange, or PathConditionViolation
     (naming the smallest offending vertex), plus GraphError for size
-    mismatches, for colors that are not a sequence or an edge that is not a
-    pair, and for an n, k, color or endpoint that is not an exact int (bool
-    and other int subclasses refused).
+    mismatches, for colors that are not a sequence, an edge that is not a
+    pair or is listed more than once, and for an n, k, color or endpoint
+    that is not an exact int (bool and other int subclasses refused).
     """
     _check_counts(n, k)
     colors = _color_tuple(n, colors)
@@ -470,7 +473,8 @@ def normalize_dag(
     Vertices are renumbered by a deterministic Kahn topological sort that
     always picks the smallest original index among ready vertices, so
     already-sorted input comes back unchanged.  Raises CycleDetected when
-    the input is not acyclic, and validate's errors otherwise.
+    the input is not acyclic, GraphError on an edge listed more than once
+    (the first repeat in list order), and validate's errors otherwise.
     """
     _check_counts(n, k)
     colors = _color_tuple(n, colors)
@@ -478,6 +482,8 @@ def normalize_dag(
     for i, j in _int_pairs(edges, n):
         if i == j:
             raise CycleDetected(f"self-loop at vertex {i}")
+        if (i, j) in edge_set:
+            raise GraphError(f"edge ({i}, {j}) is listed more than once")
         edge_set.add((i, j))
     succs: list[list[int]] = [[] for _ in range(n + 1)]
     in_deg = [0] * (n + 1)

@@ -87,10 +87,10 @@ _LE64 = [struct.pack("<Q", v) for v in range(128)]
 
 
 def _le64(v: int) -> bytes:
-    if 0 <= v < 128:
+    if type(v) is int and 0 <= v < 128:
         return _LE64[v]
-    if not 0 <= v < 1 << 64:
-        raise ValueError(f"LE64 encodes ints in [0, 2**64), got {v}")
+    if type(v) is not int or not 0 <= v < 1 << 64:  # True would pass for 1
+        raise ValueError(f"LE64 encodes ints in [0, 2**64), got {v!r}")
     return struct.pack("<Q", v)
 
 

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -23,7 +24,10 @@ from daghash.adversarial import bipartite_adversarial_pair
 from daghash.cli import main
 from daghash.enumeration import EnumerationConfig, enumerate_graphs
 from daghash.formats import graph_from_dict, graph_to_dict, record_line
-from daghash.graphs import MAX_VERTICES, ComputationalGraph, GraphError, validate
+from daghash.graphs import (
+    MAX_VERTICES, CapabilityExceeded, ComputationalGraph, EdgeOrderViolation, GraphError,
+    normalize_dag, validate,
+)
 from daghash.hashing import digest_hex, graph_invariant
 
 
@@ -144,12 +148,21 @@ def test_zero_color_count_is_input_error(tmp_path, capsys):
     assert "color count must be positive, got 0" in capsys.readouterr().err
 
 
+NOT_EDGE_LISTS = {
+    "{'1': 2}": "edge '1' is not an (i, j) pair",
+    "[1, 2]": "edge 1 is not an (i, j) pair",
+    "'[[1, 2]]'": "edge '[' is not an (i, j) pair",
+    "None": "edges must be iterable, got NoneType",
+}
+
+
 @pytest.mark.parametrize("edges", [{"1": 2}, [1, 2], "[[1, 2]]", None])
 def test_edges_not_a_list_is_input_error(tmp_path, edges, capsys):
-    # [1, 2] is a list, so its entries are refused one by one instead
+    # validate reads edges as any iterable of pairs, so a mapping or string
+    # is refused at its first entry, and so is each entry of [1, 2]
     obj = {"n": 2, "k": 1, "colors": [1, 1], "edges": edges}
-    expected = "bad edge entry 1" if isinstance(edges, list) else "edges must be a list of"
-    with pytest.raises(GraphError, match=f"^{expected}"):
+    expected = NOT_EDGE_LISTS[repr(edges)]
+    with pytest.raises(GraphError, match=f"^{re.escape(expected)}$"):
         graph_from_dict(obj)
     path = tmp_path / "edges.json"
     path.write_text(json.dumps(obj))
@@ -165,31 +178,66 @@ def test_graph_from_dict_rejects_duplicate_edges(normalize):
     # the pair once merged silently, so two different files hashed equal
     with pytest.raises(GraphError, match="more than once"):
         graph_from_dict(DUPLICATE_EDGE, normalize=normalize)
+    # without normalize, the reversed file's first fault is its first edge
     reversed_twice = {**DUPLICATE_EDGE, "edges": [[2, 1], [3, 2], [2, 1]]}
-    with pytest.raises(GraphError, match="more than once"):
+    error, message = (GraphError, "more than once") if normalize else (EdgeOrderViolation, "i < j")
+    with pytest.raises(error, match=message):
         graph_from_dict(reversed_twice, normalize=normalize)
     once = {**DUPLICATE_EDGE, "edges": [[1, 2], [2, 3]]}
     assert graph_from_dict(once, normalize=normalize).edges == ((1, 2), (2, 3))
 
 
-def test_duplicate_edge_found_in_one_pass():
-    # each edge was looked up in a copy of the edges before it: about 6 s for
-    # this 20,000-edge path (2-core Xeon VM)
-    n = 20_001
+GOOD_FILE = {"n": 3, "k": 1, "colors": [1, 1, 1], "edges": [[1, 2], [2, 3]]}
+MALFORMED_FILES = {
+    "bool-endpoint": {**GOOD_FILE, "edges": [[1, 2], [2, True]]},
+    "three-element-edge": {**GOOD_FILE, "edges": [[1, 2, 3], [2, 3]]},
+    "edges-not-a-list": {**GOOD_FILE, "edges": {"1": 2}},
+    "string-colors": {**GOOD_FILE, "colors": "111"},
+    "repeated-edge": {**GOOD_FILE, "edges": [[1, 2], [2, 3], [1, 2]]},
+}
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("obj", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_graph_file_faults_are_the_builders_faults(obj, normalize):
+    # a graph file has no field rule of its own: each fault is the one
+    # validate or normalize_dag raises on the same fields, message included
+    build = normalize_dag if normalize else validate
+    with pytest.raises(GraphError) as expected:
+        build(obj["n"], obj["k"], obj["edges"], obj["colors"])
+    with pytest.raises(GraphError) as got:
+        graph_from_dict(obj, normalize)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
+def test_duplicate_edge_found_in_one_pass(tmp_path, capsys):
+    # each edge was once looked up in a copy of the edges before it: about
+    # 6 s for a 20,000-edge path (2-core Xeon VM)
+    n = 16_001
     edges = [[i, i + 1] for i in range(1, n)]
     obj = {"n": n, "k": 1, "colors": [1] * n, "edges": edges + [edges[-1]]}
     t0 = time.perf_counter()
-    with pytest.raises(GraphError, match=rf"^edge \[{n - 1}, {n}\] is listed more than once$"):
+    with pytest.raises(GraphError, match=rf"^edge \({n - 1}, {n}\) is listed more than once$"):
         graph_from_dict(obj)
     assert time.perf_counter() - t0 < 1.0
+    # past MAX_VERTICES the vertex count is refused before any edge is read
+    n = 20_001
+    edges = [[i, i + 1] for i in range(1, n)]
+    obj = {"n": n, "k": 1, "colors": [1] * n, "edges": edges + [edges[-1]]}
+    with pytest.raises(CapabilityExceeded, match=f"^{n} vertices exceed MAX_VERTICES"):
+        graph_from_dict(obj)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(obj))
+    assert main(["hash", str(path)]) == 3
+    assert "MAX_VERTICES" in capsys.readouterr().err
     # the first repeat in list order is the one named
     twice = {**DUPLICATE_EDGE, "edges": [[1, 2], [2, 3], [2, 3], [1, 2]]}
-    with pytest.raises(GraphError, match=r"^edge \[2, 3\] is listed"):
+    with pytest.raises(GraphError, match=r"^edge \(2, 3\) is listed"):
         graph_from_dict(twice)
     # the pass stops at the first fault, so a repeat before a bad entry is
     # the one named
     repeat_first = {**DUPLICATE_EDGE, "edges": [[1, 2], [1, 2], [2, True]]}
-    with pytest.raises(GraphError, match=r"^edge \[1, 2\] is listed"):
+    with pytest.raises(GraphError, match=r"^edge \(1, 2\) is listed"):
         graph_from_dict(repeat_first)
 
 

@@ -334,8 +334,21 @@ def graph_from_fields(n, k, edges, colors):
 def test_int_subclasses_are_graph_errors(build, case):
     # ints are exact: an IntEnum k, color or endpoint once built a graph, and
     # an IntEnum n failed only in the constructor, naming its bit length
-    with pytest.raises(GraphError, match="not an int|must be ints|^bad edge entry"):
+    with pytest.raises(GraphError, match="not an int|must be ints"):
         build(*case)
+
+
+@pytest.mark.parametrize("build", [validate, normalize_dag])
+def test_repeated_edge_refused_naming_first_repeat(build):
+    # a repeat was once merged, so two different edge lists built one graph
+    edges = [(1, 2), (2, 3), (2, 3), (1, 2)]
+    with pytest.raises(GraphError, match=r"^edge \(2, 3\) is listed more than once$"):
+        build(3, 1, edges, [1, 1, 1])
+
+
+def test_pack_edges_refuses_repeated_edge():
+    with pytest.raises(GraphError, match=r"^edge \(1, 3\) is listed more than once$"):
+        pack_edges(3, [(1, 3), (1, 2), (1, 3), (1, 2)])
 
 
 def test_pack_edges_refuses_int_subclass_endpoints():

@@ -419,6 +419,18 @@ def test_le64_rejects_negative_values(backend):
             vertex_init_digest(*args, backend)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_le64_refuses_bool_and_float(backend):
+    # True once indexed the LE64 table as 1, so colors (True, 2) hashed as
+    # (1, 2), and 1.0 raised a bare TypeError
+    for args in [(True, 0, 1), (0, False, 1), (0, 0, True), (0, 0, 1.0)]:
+        with pytest.raises(ValueError, match="^LE64 encodes ints"):
+            vertex_init_digest(*args, backend)
+    for colors in [(True, 2), (1.0, 2)]:
+        with pytest.raises(ValueError, match="^LE64 encodes ints"):
+            graph_invariant(ComputationalGraph(2, 2, 1, colors), backend)
+
+
 def test_isomorphic_structure_answered_from_table(monkeypatch, triple):
     # triple[1] and triple[2] relabel triple[0]; in canonical labeling their
     # every coloring repeats one of triple[0]'s inputs
@@ -638,6 +650,18 @@ def test_concat_refuses_the_128_leaf_star():
     star = ComputationalGraph(n, 1, pack_edges(n, [(v, n) for v in range(1, n)]), (1,) * n)
     with pytest.raises(CapabilityExceeded):
         graph_invariant(star, "concat")
+
+
+def test_concat_refuses_every_validated_graph_past_20_vertices():
+    # every vertex of a validated graph on n >= 2 vertices has a neighbor,
+    # so a round at least doubles its smallest digest plus 16: round r's
+    # digests hold at least 40 * 2**r - 16 bytes, and the final digest's n
+    # of round n pass CONCAT_MAX_BYTES from n = 21 on
+    n = 21
+    g = validate(n, 1, [(i, i + 1) for i in range(1, n)], [1] * n)
+    assert n * (40 * 2**n - 16) > hashing.CONCAT_MAX_BYTES
+    with pytest.raises(CapabilityExceeded, match="CONCAT_MAX_BYTES"):
+        graph_invariant(g, "concat")
 
 
 def test_md5_one_shot_memory_is_linear():
