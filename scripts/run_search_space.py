@@ -2,8 +2,8 @@
 
 Arguments are `daghash enumerate`'s flags (see `daghash enumerate --help`),
 passed on unchanged; with none, the reference space --max-vertices 7
---max-edges 9 --colors 3 --reserved-io (423,624 classes, about 30-34 s and
-92 MB peak RSS on one core of a 2-core Intel Xeon virtual machine).  Records
+--max-edges 9 --colors 3 --reserved-io (423,624 classes, about 18-21 s and
+88 MB peak RSS on one core of a 2-core Intel Xeon virtual machine).  Records
 go to --out, or to os.devnull without it.  The script exits with the
 command's code.
 """

@@ -25,13 +25,14 @@ DAGs have the same set of i < j relabelings, so they share one canonical
 matrix.  The same search returns every extension that reaches C; they
 differ by the automorphisms of C, and two colorings of C give isomorphic
 graphs iff one of those maps one onto the other.  So each coloring is
-hashed as the least coloring in its automorphism orbit, and every coloring
+hashed as the least coloring in its automorphism orbit, and a coloring
 isomorphic to an earlier one, of this matrix or an earlier one, reaches
-the hash as inputs already seen, which the hashing layer's per-n table
-answers without refining: the md5 kernel runs once per class.  The
-relabeling only changes what is hashed, and the hash is an isomorphism
-invariant, so every digest, record and output byte is what hashing the
-original labeling gives.
+invariant_from_lists as exactly the inputs it saw then.  Its per-n table,
+keyed by those inputs, answers the repeat with what they computed before
+without refining: reuse is exact whether or not the hash separates all
+classes, and the md5 kernel runs once per class.  The relabeling only
+changes what is hashed, and the hash is an isomorphism invariant, so every
+digest, record and output byte is what hashing the original labeling gives.
 """
 
 from __future__ import annotations
@@ -137,40 +138,33 @@ class FalseMerge(Exception):
 def _surviving_matrices(n: int, e_max: int):
     """Packed adjacency ints that pass both prunes, ascending numerically.
 
-    Yields (bits, outs, ins, relabel): the matrix, the neighbor lists of its
-    canonical relabeling C, and the map taking a coloring of the matrix to
-    the least coloring of C it is isomorphic to.  That is the least of the
-    coloring's images under every labeling with C's bits, which is its
-    orbit under the automorphisms of C; with only one such labeling the map
-    is a plain itemgetter.  The relabeling reuses the decoded lists, so each
-    matrix is decoded once.  Over-budget ints are stepped over, not visited:
-    every int between x and x plus its lowest set bit keeps x's set bits.
+    Yields (bits, outs, ins, orders), ints and tuples only: the matrix, the
+    neighbor lists of its canonical relabeling C, and canonical_relabeling's
+    orders, one per automorphism of C.  The relabeling reuses the decoded
+    lists, so each matrix is decoded once.  Over-budget ints are stepped
+    over, not visited: every int between x and x plus its lowest set bit
+    keeps x's set bits.
     """
     full = (1 << n) - 1
     bits, end = 0, 1 << pair_count(n)
     while bits < end:
         outs, ins = neighbor_lists_from_bits(n, bits)
         if span_mask(n, outs, ins) == full:
-            _, outs, ins, orders = canonical_relabeling(n, outs, ins)
-            getters = tuple(operator.itemgetter(*order) for order in orders)
-            relabel = getters[0] if len(getters) == 1 else functools.partial(_least, getters)
-            yield bits, outs, ins, relabel
+            yield (bits, *canonical_relabeling(n, outs, ins)[1:])
         bits += 1
         while bits.bit_count() > e_max:
             bits += bits & -bits
 
 
-def _least(getters, colors):
-    # Module level, so a pool can pickle the partial that binds it.
-    return min([get(colors) for get in getters])
-
-
 def _matrix_digests(n, colorings, backend, mat):
-    # One matrix's bits and its digests in coloring order, hashed from the
-    # canonical lists the scan built; runs here or in a pool worker.
-    bits, outs, ins, relabel = mat
+    # One matrix's bits and its digests in coloring order, each coloring
+    # hashed as the least of its images under the orders; runs here or in a
+    # pool worker.
+    bits, outs, ins, orders = mat
+    getters = [operator.itemgetter(*order) for order in orders]
+    least = getters[0] if len(getters) == 1 else lambda c: min([get(c) for get in getters])
     return bits, [
-        invariant_from_lists(n, outs, ins, relabel(colors), backend)
+        invariant_from_lists(n, outs, ins, least(colors), backend)
         for colors in colorings
     ]
 
@@ -216,8 +210,10 @@ def enumerate_graphs(
     The generation stream, filtered to first sightings: a record is yielded
     iff its digest is new, and the seen set is global across n.  workers > 1
     spreads digest computation over at most os.cpu_count() processes and
-    yields the same stream as workers == 1.
+    yields the same stream as workers == 1; workers must be an int >= 1.
     """
+    if type(workers) is not int:
+        raise ValueError(f"workers must be an int, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     seen: set[Digest] = set()

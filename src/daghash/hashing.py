@@ -36,13 +36,7 @@ and ``final_digest`` build bytes only.
 
 For md5, ``invariant_from_lists`` also keeps a table of the digests it has
 computed for the current n, keyed by (structure, colors), and drops it when n
-changes.  The enumeration hands it every matrix as graphs.canonical_relabeling
-labels it, with each coloring replaced by the least coloring in its orbit
-under the automorphisms of that labeling.  So a matrix isomorphic to an
-earlier one, and a coloring in the orbit of an earlier one, repeats inputs
-already seen exactly, and the table answers it with what the same inputs
-computed before: reuse is exact whether or not the hash separates all
-classes, and the kernel runs once per isomorphism class.
+changes; a call whose key is in the table returns that digest unrefined.
 A call with the last call's neighbor lists, if they are tuples of tuples of
 ints (which nothing can change), skips their check, key and table lookup.
 """

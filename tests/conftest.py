@@ -15,6 +15,8 @@ from daghash.graphs import (
     ComputationalGraph,
     GraphError,
     Permutation,
+    adjacency_lists,
+    canonical_relabeling,
     neighbor_lists_from_bits,
     neighbor_rows_from_bits,
     pack_edges,
@@ -56,6 +58,13 @@ def brute_linear_extensions(g):
     for mapping in itertools.permutations(range(1, g.n + 1)):
         if all(mapping[i - 1] < mapping[j - 1] for i, j in edges):
             yield Permutation(mapping)
+
+
+def census_key(g):
+    """(n, canonical bits, least coloring over the orders): the inputs the
+    census hashes for g, read off canonical_relabeling without the hash."""
+    bits, _, _, orders = canonical_relabeling(g.n, *adjacency_lists(g))
+    return g.n, bits, min(tuple(g.colors[v] for v in order) for order in orders)
 
 
 def save_graph(g, path):

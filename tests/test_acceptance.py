@@ -14,7 +14,7 @@ import pytest
 
 from conftest import parse_summary_line
 from daghash.cli import main as cli_main
-from daghash.enumeration import EnumerationConfig, enumerate_graphs
+from daghash.enumeration import EnumerationConfig, _surviving_matrices, enumerate_graphs
 from daghash.graphs import apply_permutation, linear_extensions
 from daghash.hashing import graph_invariant, graph_invariants, refinement_trace
 from daghash.isomorphism import are_isomorphic, verify_witness
@@ -131,6 +131,37 @@ def test_criterion_5_search_space_census(search_space_run, capsys):
         assert per_n == SEARCH_SPACE_PER_N
         assert len(lines) == total + 1
         assert elapsed < 1800.0
+
+
+def _cycles(order):
+    seen, count = set(), 0
+    for start in order:
+        count += start not in seen
+        v = start
+        while v not in seen:
+            seen.add(v)
+            v = order[v]
+    return count
+
+
+def test_burnside_counts_the_search_space_classes():
+    # Counts each n's classes without the hash (Cauchy-Frobenius).  A
+    # survivor is its canonical matrix C iff the identity is among its
+    # orders, which are then the automorphisms of C; each fixes the sole
+    # source and sink, whose colors are reserved, and fixes 3 ** (its cycles
+    # on the other vertices) colorings.  Equal census keys give equal
+    # digests, so the census never splits a class; with criterion 5's equal
+    # per-n counts it merges none either: one record per class.
+    per_n = {}
+    for n in range(2, 8):
+        per_n[n] = 0
+        for _, _, _, orders in _surviving_matrices(n, 9):
+            if tuple(range(n)) in orders:
+                assert all(order[0] == 0 and order[-1] == n - 1 for order in orders)
+                fixed = sum(3 ** (_cycles(order) - 2) for order in orders)
+                assert fixed % len(orders) == 0
+                per_n[n] += fixed // len(orders)
+    assert per_n == SEARCH_SPACE_PER_N
 
 
 def test_criterion_6_oracle_equivalence(census_by_oracle, capsys):

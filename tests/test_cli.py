@@ -333,7 +333,9 @@ def test_enumerate_reruns_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_enumerate_workers_do_not_change_output(tmp_path, capsys):
+def test_enumerate_workers_do_not_change_output(tmp_path, capsys, monkeypatch):
+    # two cores, so the pool runs even on a one-core host
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     args = [
         "enumerate",
         "--max-vertices", "4",

@@ -2,14 +2,16 @@
 
 import copy
 import itertools
-import operator
 import pickle
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
     brute_linear_extensions,
+    census_key,
     inverse_permutation,
     iter_pairs,
     valid_graphs,
@@ -20,6 +22,7 @@ from daghash.enumeration import (
     EnumerationConfig,
     EnumerationReport,
     FalseMerge,
+    _matrix_digests,
     _surviving_matrices,
     enumerate_graphs,
     verify_buckets,
@@ -39,7 +42,7 @@ from daghash.graphs import (
     span_mask,
     validate,
 )
-from daghash.hashing import graph_invariant, invariant_from_lists
+from daghash.hashing import graph_invariant
 from daghash.isomorphism import IsoWitness, OracleCapExceeded, are_isomorphic
 
 
@@ -285,34 +288,84 @@ def test_canonical_relabeling_lists_are_the_decoded_least_bits():
 
 
 def test_surviving_matrices_relabel_colorings_consistently():
-    # the canonical lists with the relabeled coloring hash like the matrix
-    # with its own coloring, for every matrix, canonical or not
+    # each coloring, hashed from the canonical lists and the orders, hashes
+    # like the matrix with its own coloring, for every matrix, canonical or not
     config = EnumerationConfig(5, 6, 2, reserved_io=True)
     for n in range(2, 6):
-        for bits, outs, ins, relabel in _surviving_matrices(n, config.e_max):
-            for colors in config.colorings(n):
-                g = ComputationalGraph(n, config.palette, bits, colors)
-                assert invariant_from_lists(n, outs, ins, relabel(colors)) == graph_invariant(g)
+        colorings = list(config.colorings(n))
+        for mat in _surviving_matrices(n, config.e_max):
+            bits, digests = _matrix_digests(n, colorings, "md5", mat)
+            assert bits == mat[0]
+            assert digests == [
+                graph_invariant(ComputationalGraph(n, config.palette, bits, colors))
+                for colors in colorings
+            ]
 
 
-def test_relabel_maps_colorings_to_orbit_minima():
-    # relabel(colors) is the least coloring of the canonical matrix that the
-    # colored matrix is isomorphic to, and survives the pickling a pool does
+def _plain(x):
+    return type(x) is int or type(x) is tuple and all(map(_plain, x))
+
+
+def test_relabel_maps_colorings_to_orbit_minima(monkeypatch):
+    # each coloring reaches the hash as the least coloring of the canonical
+    # matrix that the colored matrix is isomorphic to, also from a yielded
+    # tuple that went through the pickling a pool does
     config = EnumerationConfig(5, 6, 2, reserved_io=True)
+    hashed = []
+    monkeypatch.setattr(enumeration, "invariant_from_lists",
+                        lambda n, outs, ins, colors, backend: hashed.append(colors))
     nontrivial = 0
     for n in range(2, 6):
         colorings = list(config.colorings(n))
-        for bits, outs, ins, relabel in _surviving_matrices(n, config.e_max):
+        for mat in _surviving_matrices(n, config.e_max):
+            bits, outs, ins, orders = mat
+            assert _plain(mat)
+            copied = pickle.loads(pickle.dumps(mat))
+            assert copied == mat
+            nontrivial += len(orders) > 1
             canon = validate(n, config.palette, [(i + 1, j + 1) for i in range(n) for j in outs[i]],
                              [config.k + 1] + [1] * (n - 2) + [config.k + 2]).bits
-            copied = pickle.loads(pickle.dumps(relabel))
-            nontrivial += not isinstance(relabel, operator.itemgetter)
-            for colors in colorings:
+            hashed.clear()
+            _matrix_digests(n, colorings, "md5", copied)
+            assert len(hashed) == len(colorings)
+            for colors, got in zip(colorings, hashed):
                 g = ComputationalGraph(n, config.palette, bits, colors)
                 least = min(c for c in colorings if are_isomorphic(
                     g, ComputationalGraph(n, config.palette, canon, c)).isomorphic)
-                assert relabel(colors) == copied(colors) == least
+                assert got == least
     assert nontrivial > 0
+
+
+def test_census_keys_agree_with_digests_and_oracle():
+    # every member of a digest class has its first member's key, the oracle
+    # confirms every duplicate, and on sampled pairs of distinct same-n
+    # graphs, half of them colorings of isomorphic matrices, equal keys mean
+    # isomorphic graphs
+    config = EnumerationConfig(5, 9, 2, True)
+    firsts, by_canon = {}, {}
+    duplicates = 0
+    for n, bits, colors, dig in enumeration._hashed(config, "md5"):
+        g = ComputationalGraph(n, config.palette, bits, colors)
+        key = census_key(g)
+        by_canon.setdefault(key[:2], []).append((g, key))
+        first, first_key = firsts.setdefault(dig, (g, key))
+        if first is not g:
+            assert key == first_key
+            assert are_isomorphic(first, g).isomorphic
+            duplicates += 1
+    assert (sum(map(len, by_canon.values())), len(firsts), duplicates) == (1013, 779, 234)
+    by_n = {}
+    for (n, _), members in by_canon.items():
+        by_n.setdefault(n, []).extend(members)
+    groups = [members for (n, _), members in by_canon.items() if n > 2]
+    rng = random.Random(30)
+    differ = 0
+    for i in range(2000):
+        members = rng.choice(groups)
+        (g, key), (h, h_key) = rng.sample(members if i % 2 else by_n[members[0][0].n], 2)
+        assert (key == h_key) == are_isomorphic(g, h).isomorphic
+        differ += key != h_key
+    assert differ == 1973
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -325,7 +378,9 @@ def test_digest_table_holds_one_entry_per_class(n):
     assert sum(map(len, table.values())) == report.per_n[n]
 
 
-def test_parallel_stream_matches_sequential():
+def test_parallel_stream_matches_sequential(monkeypatch):
+    # two cores, so the pool runs even on a one-core host
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     for cfg in (EnumerationConfig(4, 6, 2), EnumerationConfig(5, 9, 3, True)):
         seq = list(enumerate_graphs(cfg))
         par = list(enumerate_graphs(cfg, workers=2))
@@ -335,6 +390,13 @@ def test_parallel_stream_matches_sequential():
 def test_workers_must_be_positive():
     with pytest.raises(ValueError):
         list(enumerate_graphs(EnumerationConfig(2, 1, 1), workers=0))
+
+
+# 2.0 and "2" once failed with a TypeError, and True ran as one worker.
+@pytest.mark.parametrize("workers", [2.0, "2", True])
+def test_workers_must_be_an_int(workers):
+    with pytest.raises(ValueError, match=re.escape(f"workers must be an int, got {workers!r}")):
+        list(enumerate_graphs(EnumerationConfig(2, 1, 1), workers=workers))
 
 
 def test_reserved_io_color_discipline():
