@@ -8,16 +8,24 @@ the final digests collide even though the graphs are not isomorphic.
 Also shows the least collision among uncolored path-condition DAGs, an
 8-vertex, 10-edge pair: refinement does not count triangles, and g1 has
 two transitive triangles where g2 has none.
+
+Every family pair is built before anything is printed.  A --degree and
+--size that `daghash adversarial` refuses end the script as they end that
+command: a degenerate construction prints "degenerate construction: ..."
+and exits 1, an invalid value exits 2 and one past a capability limit
+exits 3, each with an "error: ..." line on stderr.
 """
 
 import argparse
+import sys
 
 from daghash.adversarial import (
+    ConstructionDegenerate,
     bipartite_adversarial_pair,
     counterexample_pair,
     middle_component_sizes,
 )
-from daghash.graphs import validate
+from daghash.graphs import CapabilityExceeded, validate
 from daghash.hashing import digest_hex, graph_invariant, graph_invariants, refinement_trace
 from daghash.isomorphism import are_isomorphic
 
@@ -89,16 +97,24 @@ def main():
     if len(args.degree or []) != len(args.size or []):
         ap.error("--degree and --size must be given the same number of times")
 
+    instances = list(zip(args.degree, args.size)) if args.degree else [(2, 6), (3, 6), (3, 8)]
+    try:
+        family = [(d, m, bipartite_adversarial_pair(d, m)) for d, m in instances]
+    except ConstructionDegenerate as e:
+        print(f"degenerate construction: {e}")
+        return 1
+    except (CapabilityExceeded, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 3
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     show_pair("pinned pair", counterexample_pair())
     show_least_pair()
-    if args.degree:
-        instances = list(zip(args.degree, args.size))
-    else:
-        instances = [(2, 6), (3, 6), (3, 8)]
-    for d, m in instances:
-        show_pair(f"bipartite family d={d}, m={m}",
-                  bipartite_adversarial_pair(d, m))
+    for d, m, pair in family:
+        show_pair(f"bipartite family d={d}, m={m}", pair)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import (
-    MAX_VERTICES, CapabilityExceeded, ComputationalGraph, adjacency_lists, validate,
+    MAX_VERTICES, CapabilityExceeded, ComputationalGraph, neighbor_lists_from_bits, validate,
 )
 from .hashing import graph_invariant
 from .isomorphism import ORACLE_MAX_VERTICES, are_isomorphic
@@ -50,7 +50,7 @@ def middle_component_sizes(g: ComputationalGraph) -> list[int]:
     vertex n the unique sink of a valid graph, so any isomorphism fixes
     both and this multiset is invariant.
     """
-    outs, ins = adjacency_lists(g)
+    outs, ins = neighbor_lists_from_bits(g.n, g.bits)
     sizes = []
     unvisited = set(range(1, g.n - 1))
     while unvisited:

@@ -201,11 +201,6 @@ class Permutation(checked_tuple("Permutation", [("mapping", tuple[int, ...])])):
 Neighbors = tuple[tuple[int, ...], ...]
 
 
-def adjacency_lists(g: ComputationalGraph) -> tuple[Neighbors, Neighbors]:
-    """Out- and in-neighbor lists over 0-based vertex positions."""
-    return neighbor_lists_from_bits(g.n, g.bits)
-
-
 # Largest n whose matrices decode by table lookup; 8 covers every census
 # space up to the n = 8 frontier.  At n = 8 the tables hold 255 row and
 # 255 column entries and four 256-entry byte maps, built on first use.
@@ -267,23 +262,6 @@ def neighbor_lists_from_bits(n: int, bits: int) -> tuple[Neighbors, Neighbors]:
         ins[j].append(i)
         t = s.find("1", t + 1, m)
     return tuple(map(tuple, outs)), tuple(map(tuple, ins))
-
-
-@functools.lru_cache(maxsize=2)
-def neighbor_rows_from_bits(n: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Decode a packed bit matrix into 0-based out-neighbor bitmask rows (bit
-    j of rows[i] is the edge i -> j) and in-degrees, as two tuples.
-
-    Read from neighbor_lists_from_bits, plus one n-bit row built per
-    vertex, O(edges * n / 30) word operations.  The last two results stay
-    cached, one for each graph of an oracle call, so a stream that repeats
-    a matrix in a row decodes it once; the results are tuples because every
-    caller shares them.  A call hashes the key, O(n^2 / 30) word
-    operations, and the cache keeps up to two matrices and their rows
-    alive, about n^2 / 8 bytes each when dense.
-    """
-    outs, ins = neighbor_lists_from_bits(n, bits)
-    return tuple([sum(map((1).__lshift__, row)) for row in outs]), tuple(map(len, ins))
 
 
 def span_mask(n: int, outs: Sequence[Sequence[int]], ins: Sequence[Sequence[int]]) -> int:
@@ -421,17 +399,8 @@ def _extensions(n: int, outs, ins) -> Iterator[tuple[int, ...]]:
 
 def linear_extensions(g: ComputationalGraph) -> Iterator[Permutation]:
     """Every order-preserving relabeling, in lexicographic order of mapping."""
-    for p in _extensions(g.n, *adjacency_lists(g)):
+    for p in _extensions(g.n, *neighbor_lists_from_bits(g.n, g.bits)):
         yield Permutation(tuple(v + 1 for v in p))
-
-
-@functools.cache
-def _pair_bits(n):
-    # _pair_bits(n)[a][b] is the packed bit of the 0-based pair a < b.
-    return [
-        [1 << pair_index(n, a + 1, b + 1) if a < b else 0 for b in range(n)]
-        for a in range(n)
-    ]
 
 
 def canonical_relabeling(n: int, outs, ins):
@@ -448,12 +417,13 @@ def canonical_relabeling(n: int, outs, ins):
     labeling and all of them together its automorphism group.
     """
     edges = [(i, j) for i in range(n) for j in outs[i]]
-    pair_bits = _pair_bits(n)
+    # pair_index(n, a + 1, b + 1) is off[a] + b, as in apply_permutation.
+    off = [a * (2 * n - a - 1) // 2 - a - 1 for a in range(n)]
     best, best_ps = None, []
     for p in _extensions(n, outs, ins):
         bits = 0
         for i, j in edges:
-            bits |= pair_bits[p[i]][p[j]]
+            bits |= 1 << off[p[i]] + p[j]
         if best is None or bits < best:
             best, best_ps = bits, [p]
         elif bits == best:

@@ -48,7 +48,7 @@ from collections import deque
 from itertools import islice
 from typing import Callable, Sequence
 
-from .graphs import CapabilityExceeded, ComputationalGraph, adjacency_lists
+from .graphs import CapabilityExceeded, ComputationalGraph, neighbor_lists_from_bits
 
 try:
     from _md5 import md5 as _md5_new
@@ -128,7 +128,7 @@ def refine_round(
     """
     if len(digests) != g.n:
         raise ValueError(f"expected {g.n} digests, got {len(digests)}")
-    outs, ins = adjacency_lists(g)
+    outs, ins = neighbor_lists_from_bits(g.n, g.bits)
     return _refine(g.n, outs, ins, list(digests), digest_function(backend), {})
 
 
@@ -139,7 +139,7 @@ def graph_invariant(g: ComputationalGraph, backend: str = "md5") -> Digest:
     LE64(n) || concatenation of the lexicographically sorted final digests.
     Does not rely on the path condition, only on the i < j representation.
     """
-    outs, ins = adjacency_lists(g)
+    outs, ins = neighbor_lists_from_bits(g.n, g.bits)
     return _generic_invariant(g.n, outs, ins, g.colors, digest_function(backend), ({}, {}))
 
 
@@ -147,7 +147,7 @@ def refinement_trace(
     g: ComputationalGraph, backend: str = "md5"
 ) -> list[list[Digest]]:
     """The n+1 per-round digest lists (initial plus each of the n rounds)."""
-    outs, ins = adjacency_lists(g)
+    outs, ins = neighbor_lists_from_bits(g.n, g.bits)
     return list(_rounds(g.n, outs, ins, g.colors, digest_function(backend), {}))
 
 
@@ -333,7 +333,8 @@ def graph_invariants(
     object, so the equality check is an identity test.
     """
     d, ctx = digest_function(backend), ({}, {})
-    return [_generic_invariant(g.n, *adjacency_lists(g), g.colors, d, ctx) for g in graphs]
+    return [_generic_invariant(g.n, *neighbor_lists_from_bits(g.n, g.bits), g.colors, d, ctx)
+            for g in graphs]
 
 
 _kernel = (None,) * 5  # (structure, kernel, outs, ins, table dict); results never depend on it

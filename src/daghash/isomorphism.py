@@ -9,11 +9,12 @@ Factorial worst case; hard-capped at 12 vertices.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .graphs import (
     CapabilityExceeded, ComputationalGraph, GraphError, NotLinearExtension, Permutation,
-    apply_permutation, neighbor_rows_from_bits,
+    apply_permutation, neighbor_lists_from_bits,
 )
 
 ORACLE_MAX_VERTICES = 12
@@ -49,6 +50,18 @@ def verify_witness(g1: ComputationalGraph, g2: ComputationalGraph, p: Permutatio
     return image.bits == g2.bits and image.colors == g2.colors
 
 
+@functools.lru_cache(maxsize=2)
+def _neighbor_rows(n: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Out-neighbor bitmask rows (bit j of rows[i] is the edge i -> j) and
+    # in-degrees, as shared tuples.  The cache keeps one result per side of
+    # a call: verify hashes each matrix's colorings in a row, so most of its
+    # calls repeat both matrices and decode neither.  A call hashes the key,
+    # O(n^2 / 30) word operations, and the cache keeps two matrices and
+    # their rows alive, about n^2 / 8 bytes each when dense.
+    outs, ins = neighbor_lists_from_bits(n, bits)
+    return tuple([sum(map((1).__lshift__, row)) for row in outs]), tuple(map(len, ins))
+
+
 def are_isomorphic(g1: ComputationalGraph, g2: ComputationalGraph) -> IsoWitness:
     """Search for a color- and adjacency-preserving bijection.
 
@@ -64,13 +77,9 @@ def are_isomorphic(g1: ComputationalGraph, g2: ComputationalGraph) -> IsoWitness
             f"{n} vertices exceeds the brute-force cap of {ORACLE_MAX_VERTICES}"
         )
 
-    # One pass over each packed matrix gives, per vertex, a bitmask row over
-    # 0-based targets (bit j of rows[i] is the edge i -> j) and the in-degree,
-    # hence the (color, out-degree, in-degree) signature.  The decoder keeps
-    # its last two results, and verify hashes each matrix's colorings in a
-    # row, so most of its calls repeat both matrices and decode neither.
-    rows1, indeg1 = neighbor_rows_from_bits(n, g1.bits)
-    rows2, indeg2 = neighbor_rows_from_bits(n, g2.bits)
+    # A vertex's row and in-degree give its (color, out-degree, in-degree).
+    rows1, indeg1 = _neighbor_rows(n, g1.bits)
+    rows2, indeg2 = _neighbor_rows(n, g2.bits)
     sig1 = list(zip(g1.colors, map(int.bit_count, rows1), indeg1))
     sig2 = list(zip(g2.colors, map(int.bit_count, rows2), indeg2))
     if sorted(sig1) != sorted(sig2):

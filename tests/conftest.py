@@ -15,16 +15,14 @@ from daghash.graphs import (
     ComputationalGraph,
     GraphError,
     Permutation,
-    adjacency_lists,
     canonical_relabeling,
     neighbor_lists_from_bits,
-    neighbor_rows_from_bits,
     pack_edges,
     pair_count,
     pair_index,
     validate,
 )
-from daghash.isomorphism import are_isomorphic
+from daghash.isomorphism import _neighbor_rows, are_isomorphic
 
 
 def iter_pairs(n):
@@ -63,7 +61,7 @@ def brute_linear_extensions(g):
 def census_key(g):
     """(n, canonical bits, least coloring over the orders): the inputs the
     census hashes for g, read off canonical_relabeling without the hash."""
-    bits, _, _, orders = canonical_relabeling(g.n, *adjacency_lists(g))
+    bits, _, _, orders = canonical_relabeling(g.n, *neighbor_lists_from_bits(g.n, g.bits))
     return g.n, bits, min(tuple(g.colors[v] for v in order) for order in orders)
 
 
@@ -114,7 +112,7 @@ def empty_hash_caches(monkeypatch):
     monkeypatch.setattr(hashing, "_kernel", (None,) * 5)
     monkeypatch.setattr(hashing, "_table", (None, {}))
     monkeypatch.setattr(hashing, "_rows", (None, None, {}))
-    neighbor_rows_from_bits.cache_clear()
+    _neighbor_rows.cache_clear()
 
 
 @pytest.fixture(scope="session")

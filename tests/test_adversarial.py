@@ -16,7 +16,7 @@ from daghash.adversarial import (
 from daghash.graphs import (
     CapabilityExceeded,
     ComputationalGraph,
-    adjacency_lists,
+    neighbor_lists_from_bits,
     pack_edges,
     validate,
 )
@@ -184,7 +184,7 @@ def test_oversized_family_refused_before_allocating():
 def test_family_regular_degrees():
     pair = bipartite_adversarial_pair(3, 8)
     for g in (pair.g1, pair.g2):
-        outs, ins = adjacency_lists(g)
+        outs, ins = neighbor_lists_from_bits(g.n, g.bits)
         for v in range(g.n):
             assert outs[v] == tuple(w for w in range(g.n) if has_edge(g, v + 1, w + 1))
             assert ins[v] == tuple(u for u in range(g.n) if has_edge(g, u + 1, v + 1))

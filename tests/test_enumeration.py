@@ -5,6 +5,7 @@ import itertools
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,6 @@ from daghash.graphs import (
     ComputationalGraph,
     GraphError,
     Permutation,
-    adjacency_lists,
     apply_permutation,
     canonical_relabeling,
     linear_extensions,
@@ -235,7 +235,8 @@ def test_canonical_relabeling_is_shared_by_linear_extensions(g):
     relabelings = [apply_permutation(g, p) for p in linear_extensions(g)]
     least = min(gp.bits for gp in relabelings)
     for gp in relabelings:
-        bits, outs, ins, orders = canonical_relabeling(gp.n, *adjacency_lists(gp))
+        lists = neighbor_lists_from_bits(gp.n, gp.bits)
+        bits, outs, ins, orders = canonical_relabeling(gp.n, *lists)
         assert bits == least
         assert (outs, ins) == neighbor_lists_from_bits(g.n, bits)
         # order[v] is the vertex of gp placed at position v; every reported
@@ -264,7 +265,7 @@ def test_canonical_relabeling_matches_brute_force():
                     least, best = image, [p]
                 elif image == least:
                     best.append(p)
-            assert canonical_relabeling(n, *adjacency_lists(g)) == (
+            assert canonical_relabeling(n, *neighbor_lists_from_bits(g.n, g.bits)) == (
                 least,
                 *neighbor_lists_from_bits(n, least),
                 tuple(tuple(v - 1 for v in inverse_permutation(p).mapping) for p in best),
@@ -285,6 +286,22 @@ def test_canonical_relabeling_lists_are_the_decoded_least_bits():
                 p = sorted(range(n), key=order.__getitem__)  # p[v]: v's position
                 assert c_outs == tuple(tuple(sorted(p[j] for j in outs[i])) for i in order)
                 assert c_ins == tuple(tuple(sorted(p[j] for j in ins[i])) for i in order)
+
+
+def test_canonical_relabeling_of_long_path_keeps_nothing():
+    # a per-n table of every pair's bit stayed cached after a call: 63 MB at
+    # 250 vertices, n(n-1)/2 ints of up to n(n-1)/2 bits each
+    n = 250
+    bits = pack_edges(n, [(i, i + 1) for i in range(1, n)])
+    outs, ins = neighbor_lists_from_bits(n, bits)
+    tracemalloc.start()
+    try:
+        least, c_outs, c_ins, orders = canonical_relabeling(n, outs, ins)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (least, c_outs, c_ins, orders) == (bits, outs, ins, (tuple(range(n)),))
+    assert kept < 1 << 20, f"{kept / 2**20:.1f} MB stayed allocated"
 
 
 def test_surviving_matrices_relabel_colorings_consistently():
@@ -381,9 +398,11 @@ def test_digest_table_holds_one_entry_per_class(n):
 def test_parallel_stream_matches_sequential(monkeypatch):
     # two cores, so the pool runs even on a one-core host
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    for cfg in (EnumerationConfig(4, 6, 2), EnumerationConfig(5, 9, 3, True)):
-        seq = list(enumerate_graphs(cfg))
-        par = list(enumerate_graphs(cfg, workers=2))
+    cases = [(EnumerationConfig(4, 6, 2), "md5"), (EnumerationConfig(5, 9, 3, True), "md5"),
+             (EnumerationConfig(4, 6, 2), "concat")]
+    for cfg, backend in cases:
+        seq = list(enumerate_graphs(cfg, backend))
+        par = list(enumerate_graphs(cfg, backend, workers=2))
         assert par == seq
 
 

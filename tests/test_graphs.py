@@ -33,11 +33,9 @@ from daghash.graphs import (
     NotLinearExtension,
     PathConditionViolation,
     Permutation,
-    adjacency_lists,
     apply_permutation,
     linear_extensions,
     neighbor_lists_from_bits,
-    neighbor_rows_from_bits,
     normalize_dag,
     pack_edges,
     pair_count,
@@ -45,7 +43,7 @@ from daghash.graphs import (
     span_mask,
     validate,
 )
-from daghash.isomorphism import verify_witness
+from daghash.isomorphism import _neighbor_rows, verify_witness
 
 
 def test_pair_order_is_row_major():
@@ -183,27 +181,27 @@ def test_neighbor_rows_agree_with_lists():
     # oracle's 12 vertices, sparse to dense
     for n in range(1, 7):
         for bits in range(1 << pair_count(n)):
-            assert neighbor_rows_from_bits(n, bits) == rows_from_lists(n, bits)
+            assert _neighbor_rows(n, bits) == rows_from_lists(n, bits)
     rng = random.Random(20)
     for n in range(7, 13):
         for _ in range(300):
             bits = rng.getrandbits(pair_count(n))
             for sparse in (bits, bits & rng.getrandbits(pair_count(n))):
-                assert neighbor_rows_from_bits(n, sparse) == rows_from_lists(n, sparse)
+                assert _neighbor_rows(n, sparse) == rows_from_lists(n, sparse)
 
 
 def test_neighbor_rows_cache_serves_interleaved_decodes():
     # two graphs per oracle call fill both slots; a third matrix evicts the
     # least recent one, and every answer equals a fresh decode
-    uncached = neighbor_rows_from_bits.__wrapped__
+    uncached = _neighbor_rows.__wrapped__
     rng = random.Random(24)
     keys = [(n, rng.getrandbits(pair_count(n))) for n in (2, 5, 5, 7, 12)]
     for _ in range(200):
         n, bits = rng.choice(keys)
-        rows, indeg = neighbor_rows_from_bits(n, bits)
+        rows, indeg = _neighbor_rows(n, bits)
         assert type(rows) is tuple and type(indeg) is tuple
         assert (rows, indeg) == uncached(n, bits) == rows_from_lists(n, bits)
-    info = neighbor_rows_from_bits.cache_info()
+    info = _neighbor_rows.cache_info()
     assert info.maxsize == 2 and info.currsize == 2 and info.hits > 0
 
 
@@ -214,7 +212,7 @@ def test_neighbor_rows_of_long_path_in_linear_time():
     n = 8000
     bits = pack_edges(n, [(i, i + 1) for i in range(1, n)])
     t0 = time.perf_counter()
-    rows, indeg = neighbor_rows_from_bits(n, bits)
+    rows, indeg = _neighbor_rows(n, bits)
     assert time.perf_counter() - t0 < 1.0
     assert rows == tuple(1 << j for j in range(1, n)) + (0,)
     assert indeg == (0,) + (1,) * (n - 1)
@@ -378,7 +376,7 @@ def test_malformed_shapes_are_graph_errors(build, case, message):
 
 def test_neighbors_and_degrees(triple):
     left = triple[0]
-    outs, ins = adjacency_lists(left)
+    outs, ins = neighbor_lists_from_bits(left.n, left.bits)
     assert outs[0] == (1, 2, 3) and ins[0] == () and ins[4] == (2, 3)
     for v in range(left.n):
         assert outs[v] == tuple(w for w in range(left.n) if has_edge(left, v + 1, w + 1))

@@ -20,10 +20,10 @@ from daghash.enumeration import (
 from daghash.graphs import (
     CapabilityExceeded,
     ComputationalGraph,
-    adjacency_lists,
     apply_permutation,
     canonical_relabeling,
     linear_extensions,
+    neighbor_lists_from_bits,
     pack_edges,
     pair_count,
     validate,
@@ -173,11 +173,16 @@ def test_round_consistency_under_relabeling(g):
             assert hp[p(i) - 1] == hg[i - 1]
 
 
+def from_lists(g):
+    """invariant_from_lists of g's decoded neighbor lists and colors."""
+    return invariant_from_lists(g.n, *neighbor_lists_from_bits(g.n, g.bits), g.colors)
+
+
 def _twice(g):
     # The first call compiles the structure's kernel.  With the digest table
     # emptied before each call, the repeat misses it too and runs the cached
     # kernel, so exactly one is compiled.
-    outs, ins = adjacency_lists(g)
+    outs, ins = neighbor_lists_from_bits(g.n, g.bits)
     compiled = []
     compile_kernel = hashing._compile_kernel
     hashing._compile_kernel = lambda *key: compiled.append(key) or compile_kernel(*key)
@@ -224,7 +229,7 @@ def test_kernel_cache_follows_structure(monkeypatch):
     digests = []
     for g in (a, a, b, b, a, a):
         monkeypatch.setattr(hashing, "_table", (None, {}))
-        digests.append(invariant_from_lists(g.n, *adjacency_lists(g), g.colors))
+        digests.append(from_lists(g))
     assert digests == want
     assert digests[0] != digests[2]
     assert len(compiled) == 3
@@ -341,7 +346,7 @@ def closure_cells(f):
 
 def kernel_rows(g):
     """The row cache keys of g's structure: (vertex, out-list, in-list)."""
-    outs, ins = (tuple(map(tuple, lists)) for lists in adjacency_lists(g))
+    outs, ins = (tuple(map(tuple, lists)) for lists in neighbor_lists_from_bits(g.n, g.bits))
     return [(i, outs[i], ins[i]) for i in range(g.n)]
 
 
@@ -352,11 +357,11 @@ def test_structures_sharing_a_row_compile_it_once():
     b = validate(4, 3, {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)}, [1, 2, 3, 1])
     shared = set(kernel_rows(a)) & set(kernel_rows(b))
     assert {key[0] for key in shared} == {0, 3}
-    assert invariant_from_lists(4, *adjacency_lists(a), a.colors) == graph_invariant(a)
+    assert from_lists(a) == graph_invariant(a)
     n, make, rows = hashing._rows
     before = dict(rows)
     assert n == 4 and set(before) == set(kernel_rows(a))
-    assert invariant_from_lists(4, *adjacency_lists(b), b.colors) == graph_invariant(b)
+    assert from_lists(b) == graph_invariant(b)
     assert hashing._rows[1] is make and hashing._rows[2] is rows
     assert set(rows) == set(kernel_rows(a)) | set(kernel_rows(b))
     assert all(rows[key] is before[key] for key in before)
@@ -369,14 +374,14 @@ def test_structures_sharing_a_row_compile_it_once():
 def test_row_cache_dropped_when_n_changes():
     a = validate(4, 1, {(1, 2), (2, 3), (3, 4)}, [1] * 4)
     b = validate(5, 1, {(1, 2), (2, 3), (3, 4), (4, 5)}, [1] * 5)
-    assert invariant_from_lists(4, *adjacency_lists(a), a.colors) == graph_invariant(a)
+    assert from_lists(a) == graph_invariant(a)
     n, make, rows = hashing._rows
     assert n == 4 and set(rows) == set(kernel_rows(a))
-    assert invariant_from_lists(5, *adjacency_lists(b), b.colors) == graph_invariant(b)
+    assert from_lists(b) == graph_invariant(b)
     assert hashing._rows[0] == 5 and set(hashing._rows[2]) == set(kernel_rows(b))
     assert hashing._rows[1] is not make
     # back at n = 4, a's rows and maker are compiled anew
-    assert invariant_from_lists(4, *adjacency_lists(a), a.colors) == graph_invariant(a)
+    assert from_lists(a) == graph_invariant(a)
     assert hashing._rows[0] == 4 and set(hashing._rows[2]) == set(kernel_rows(a))
     assert hashing._rows[1] is not make
     assert not any(hashing._rows[2][key] is rows[key] for key in rows)
@@ -387,7 +392,7 @@ def test_kernel_orders_degree_two_groups(colors):
     # vertices 1 and 4 each have the pair {2, 3} as neighbors: equal digests
     # when 2 and 3 share a color, and unequal ones in both orders otherwise
     g = validate(4, 4, {(1, 2), (1, 3), (2, 4), (3, 4)}, colors)
-    assert invariant_from_lists(4, *adjacency_lists(g), g.colors) == graph_invariant(g)
+    assert from_lists(g) == graph_invariant(g)
 
 
 @pytest.mark.parametrize("bad", [1.0, True, -1])
@@ -396,7 +401,7 @@ def test_colors_checked_before_table_lookup(monkeypatch, bad):
         raise AssertionError("unchecked colors reached the hash")
 
     g = validate(3, 1, {(1, 2), (1, 3), (2, 3)}, [1, 1, 1])
-    outs, ins = adjacency_lists(g)
+    outs, ins = neighbor_lists_from_bits(g.n, g.bits)
     for colors in ([1, 2, 1], [1, 1, 1]):
         # the table now holds [1, 1, 1], which [1, 1.0, 1] and [1, True, 1] equal
         invariant_from_lists(3, outs, ins, colors)
@@ -439,14 +444,15 @@ def test_isomorphic_structure_answered_from_table(monkeypatch, triple):
 
     left = triple[0]
     want = graph_invariant(left)
-    _, outs, ins, _ = canonical_relabeling(left.n, *adjacency_lists(left))
+    _, outs, ins, _ = canonical_relabeling(left.n, *neighbor_lists_from_bits(left.n, left.bits))
     for colors in itertools.product(range(1, 4), repeat=left.n):
         invariant_from_lists(left.n, outs, ins, colors)
     monkeypatch.setattr(hashing, "_kernel", (None,) * 5)
     monkeypatch.setattr(hashing, "_compile_kernel", never)
     monkeypatch.setattr(hashing, "_generic_invariant", never)
     for g in triple[1:]:
-        _, g_outs, g_ins, (order, *_) = canonical_relabeling(g.n, *adjacency_lists(g))
+        g_lists = neighbor_lists_from_bits(g.n, g.bits)
+        _, g_outs, g_ins, (order, *_) = canonical_relabeling(g.n, *g_lists)
         assert (g_outs, g_ins) == (outs, ins)
         colors = [g.colors[v] for v in order]
         assert invariant_from_lists(g.n, g_outs, g_ins, colors) == want
@@ -461,7 +467,7 @@ def test_table_dropped_when_n_changes(monkeypatch):
     monkeypatch.setattr(
         hashing, "_compile_kernel", lambda *key: compiled.append(key[0]) or compile_kernel(*key)
     )
-    got = [invariant_from_lists(g.n, *adjacency_lists(g), g.colors) for g in (a, a, b, a)]
+    got = [from_lists(g) for g in (a, a, b, a)]
     assert got == want
     # the second a is a table hit; b drops the n = 4 table, so the last a
     # misses, compiles again and the table then holds n = 4 only

@@ -7,6 +7,7 @@ checks its fields in __new__ routes _make through it, and importing the
 package loads no process-pool module and no dataclasses."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,17 +72,20 @@ def names_read(source: str) -> set[str]:
     return found
 
 
-def unlisted_functions(modules: dict[str, str], exported: set[str], readers: list[str]) -> list[str]:
-    """Public module-level functions that exported lacks and no reader reads."""
-    read = set().union(*map(names_read, readers))
+def public_functions(modules: dict[str, str]) -> list[str]:
+    """module.name of every public module-level function."""
     return [
         f"{name}.{stmt.name}"
         for name, source in modules.items()
         for stmt in ast.parse(source).body
-        if isinstance(stmt, ast.FunctionDef)
-        and not stmt.name.startswith("_")
-        and stmt.name not in exported | read
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
     ]
+
+
+def unlisted_functions(modules: dict[str, str], exported: set[str], readers: list[str]) -> list[str]:
+    """Public module-level functions that exported lacks and no reader reads."""
+    read = set().union(*map(names_read, readers))
+    return [f for f in public_functions(modules) if f.split(".")[1] not in exported | read]
 
 
 def test_unlisted_functions_detected():
@@ -90,7 +94,9 @@ def test_unlisted_functions_detected():
     assert unlisted_functions({"m": module}, {"h"}, [module, user]) == ["m.f"]
 
 
-def test_public_functions_are_api():
+def api_inputs() -> tuple[dict[str, str], set[str], list[str]]:
+    """The package's module sources by name, the names daghash exports, and
+    the sources of API_READERS."""
     init = ast.parse((ROOT / "src/daghash/__init__.py").read_text(encoding="utf-8"))
     exported = {
         a.asname or a.name
@@ -100,14 +106,45 @@ def test_public_functions_are_api():
     }
     package = sorted((ROOT / "src/daghash").glob("*.py"))
     modules = {p.stem: p.read_text(encoding="utf-8") for p in package}
-    readers = [p.read_text(encoding="utf-8") for p in API_READERS]
-    found = unlisted_functions(modules, exported, readers)
+    return modules, exported, [p.read_text(encoding="utf-8") for p in API_READERS]
+
+
+def test_public_functions_are_api():
+    found = unlisted_functions(*api_inputs())
     assert not found, "public functions outside the API:\n" + "\n".join(found)
 
 
+def readme_api(text: str) -> set[str]:
+    """module.name of each function the README's public-API sentence lists
+    after "call:"; a bare name belongs to the module named last."""
+    listing = re.search(r"The public API is what .*? call:(.*?)\.\s", text, re.S)[1]
+    found, module = set(), None
+    for name in re.findall(r"`([\w.]+)`", listing):
+        if "." in name:
+            module, name = name.split(".")
+        found.add(f"{module}.{name}")
+    return found
+
+
+def test_readme_api_parsed():
+    text = (
+        "The public API is what `x` exports plus what\n`s/` call: `m.f`, `g`\n"
+        "and `h`; `n.k`. `t.py` fails."
+    )
+    assert readme_api(text) == {"m.f", "m.g", "m.h", "n.k"}
+
+
+def test_readme_lists_the_api():
+    # the README lists exactly the functions beyond the exports that the
+    # package, the scripts and the benchmark read
+    modules, exported, readers = api_inputs()
+    read = set().union(*map(names_read, readers)) - exported
+    want = {f for f in public_functions(modules) if f.split(".")[1] in read}
+    assert readme_api((ROOT / "README.md").read_text(encoding="utf-8")) == want
+
+
 # Only graphs.py knows the row-major packed layout, canonical_relabeling
-# included.  Every other module decodes through neighbor_lists_from_bits,
-# neighbor_rows_from_bits or adjacency_lists.
+# included.  Every other module decodes through neighbor_lists_from_bits.
 PACKED_LAYOUT_READERS = {"graphs"}
 
 

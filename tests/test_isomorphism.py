@@ -16,7 +16,6 @@ from daghash.graphs import (
     Permutation,
     apply_permutation,
     linear_extensions,
-    neighbor_rows_from_bits,
     pack_edges,
     validate,
 )
@@ -24,6 +23,7 @@ from daghash.isomorphism import (
     ORACLE_MAX_VERTICES,
     IsoWitness,
     OracleCapExceeded,
+    _neighbor_rows,
     are_isomorphic,
     verify_witness,
 )
@@ -293,7 +293,7 @@ def test_verify_stream_reuses_decoded_rows():
     # repeat the last call's two matrices and hit the two-slot cache (326
     # of 380 lookups); the witness check walks g1's bits and looks up nothing
     report = verify_buckets(EnumerationConfig(5, 7, 2, True))
-    info = neighbor_rows_from_bits.cache_info()
+    info = _neighbor_rows.cache_info()
     lookups = info.hits + info.misses
     assert lookups == 2 * report.duplicates == 380
     assert info.hits >= 0.85 * lookups

@@ -1,10 +1,15 @@
 """Smoke tests: the scripts in scripts/ run against the package."""
 
 import os
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from daghash import enumeration
 from daghash.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +57,22 @@ def test_collision_analysis_refuses_unpaired_flags():
         assert "--degree and --size must be given the same number of times" in done.stderr
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--degree", "2", "--size", "5"], 1,
+     "degenerate construction: size=5 cannot split into two blocks of degree 2\n", ""),
+    (["--degree", "1", "--size", "4"], 2, "", "error: degree must be at least 2, got 1\n"),
+    (["--degree", "2", "--size", "10000"], 3, "",
+     "error: 20002 vertices exceed MAX_VERTICES = 16384\n"),
+], ids=["degenerate", "invalid", "capability"])
+def test_collision_analysis_exits_like_adversarial(argv, code, out, err, capsys):
+    # every family pair is built before any output, and a refused one ends
+    # the script as it ends `daghash adversarial`, with no traceback
+    done = run_script("scripts/collision_analysis.py", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+    assert main(["adversarial", *argv]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_run_search_space_help():
     done = run_script("scripts/run_search_space.py", "--help")
     assert done.returncode == 0, done.stderr
@@ -69,6 +90,20 @@ def test_run_search_space_writes_cli_bytes(tmp_path, capsys):
     lines = done.stdout.splitlines()
     assert lines[:-1] == capsys.readouterr().out.splitlines()
     assert lines[-1].endswith(" MB") and ", peak RSS " in lines[-1]
+    assert "worker" not in lines[-1]
+
+
+def test_run_search_space_reports_worker_peak(monkeypatch, capsys):
+    # the main process's peak leaves out the pool's workers, so a run with a
+    # pool also prints the largest worker's
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    argv = ["--max-vertices", "5", "--max-edges", "7", "--colors", "2", "--workers", "2"]
+    monkeypatch.setattr(sys, "argv", ["run_search_space.py", *argv])
+    script = runpy.run_path(str(ROOT / "scripts/run_search_space.py"))
+    assert script["run"]() == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    found = re.fullmatch(r"[\d.]+ s, peak RSS [\d.]+ MB, largest worker ([\d.]+) MB", last)
+    assert found and float(found[1]) > 0, last
 
 
 def test_run_search_space_exits_with_cli_codes(tmp_path):
